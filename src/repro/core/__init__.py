@@ -6,7 +6,6 @@ from repro.core.block_analysis import (
     BlockReport,
     analyze_block,
     analyze_blocks,
-    block_from_descriptor,
 )
 from repro.core.blocks import (
     SEED_ORDERS,
@@ -41,7 +40,6 @@ __all__ = [
     "BlockReport",
     "analyze_block",
     "analyze_blocks",
-    "block_from_descriptor",
     "SEED_ORDERS",
     "Block",
     "blocks_csr",

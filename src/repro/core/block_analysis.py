@@ -22,18 +22,21 @@ is inside the block.
 
 The enumeration combination (algorithm × data structure) is chosen per
 block by a decision tree over the block's features (``bestfit``, line 1).
-Two materialization paths produce identical results:
-:func:`analyze_block` consumes a :class:`~repro.core.blocks.Block`
-(subgraph as a ``Graph``), while :func:`analyze_block_csr` consumes a
-:class:`BlockDescriptor` plus CSR views and builds the chosen backend
-straight from a packed adjacency bitmap — no intermediate ``Graph`` —
-which is what shared-memory workers run.
+Every analysis path — whole blocks, split probes, anchor-range
+subtasks, and parent retries — materializes a block the same way
+(:func:`_materialize_csr`): a :class:`BlockDescriptor` of member ids over
+the level's CSR snapshot becomes packed adjacency rows and one
+Python-int mask per member in one flat gather, and one peel over the
+masks yields both the block features and the kernel anchor order; the
+chosen backend is built from those rows, never from a ``Graph``.
+:func:`analyze_block` accepts a :class:`~repro.core.blocks.Block` and
+delegates to the same path.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,18 +45,23 @@ from repro.core.cliquestore import CliqueStore, make_emitter
 from repro.decision.features import (
     BlockFeatures,
     estimate_analysis_cost,
-    features_from_bitmap,
+    peel_features,
 )
 from repro.decision.paper_tree import paper_tree, select_combo
 from repro.decision.tree import DecisionTree
-from repro.graph.adjacency import Graph, Node
-from repro.graph.csr import BitmapScratch, extract_block_bitmap
+from repro.graph.adjacency import Node
+from repro.graph.csr import (
+    BitmapScratch,
+    CSRGraph,
+    bitmap_masks,
+    extract_block_bitmap,
+    induced_edge_count,
+)
 from repro.mce.anchored import enumerate_anchored_native
-from repro.mce.backends import Backend, backend_from_bitmap, build_backend
+from repro.mce.backends import Backend, backend_from_bitmap
 from repro.mce.bitmatrix import (
     BitMatrixBackend,
     bits_to_indices,
-    degeneracy_order_packed,
     degeneracy_orders_many,
     enumerate_anchored_packed,
     expand_batched_many,
@@ -95,6 +103,13 @@ def analyze_block(
 ) -> BlockReport:
     """Enumerate the block's contribution to the global clique set.
 
+    Delegates to :func:`analyze_block_csr`: the block's induced graph
+    becomes a block-sized CSR snapshot and the block one
+    :class:`BlockDescriptor` over it, with members in the order
+    :meth:`BlockDescriptor.from_block` uses — so the report, down to the
+    clique emission order, is the one any executor produces for the
+    same block.
+
     Parameters
     ----------
     block:
@@ -117,46 +132,15 @@ def analyze_block(
         The cliques found (each has ≥ 1 kernel node and no visited node),
         the combination used, the block features, and the wall-clock time.
     """
-    start = time.perf_counter()
-    features = BlockFeatures.of(block.graph)
-    selection_seconds = 0.0
-    if combo is None:
-        select_start = time.perf_counter()
-        combo = select_combo(tree if tree is not None else paper_tree(), features)
-        selection_seconds = time.perf_counter() - select_start
-    backend = build_backend(block.graph, combo.backend)
-    pivot_rule = get_pivot_rule(combo.algorithm)
-
-    candidates = backend.make_from_labels(list(block.kernel) + list(block.border))
-    excluded = backend.make_from_labels(block.visited)
-    kernel_order = _kernel_degeneracy_order(block)
-    member_labels = [backend.label(i) for i in range(block.graph.num_nodes)]
-    emitter = make_emitter(member_labels)
-    anchors_skipped = 0
-    for kernel_node in kernel_order:
-        anchor = backend.index_of(kernel_node)
-        if _anchor_below_floor(backend, anchor, candidates, min_clique_size):
-            anchors_skipped += 1
-        else:
-            _emit_anchored(emitter, backend, anchor, candidates, excluded, pivot_rule)
-        candidates = backend.remove(candidates, anchor)
-        excluded = backend.add(excluded, anchor)
-    cliques = emitter.build()
-    extra: dict[str, float] = {}
-    if anchors_skipped:
-        extra["anchors_skipped"] = float(anchors_skipped)
-    if selection_seconds:
-        # The measured price of consulting the selector for this block;
-        # harvests and benchmarks check it stays a vanishing fraction
-        # of the analysis time (the <1% selection-overhead budget).
-        extra["selection_seconds"] = selection_seconds
-    return BlockReport(
-        cliques=cliques,
+    csr = CSRGraph(block.graph)
+    return analyze_block_csr(
+        BlockDescriptor.from_block(0, block, csr),
+        csr.indptr,
+        csr.indices,
+        csr.labels,
+        tree=tree,
         combo=combo,
-        features=features,
-        seconds=time.perf_counter() - start,
-        kernel_nodes=len(block.kernel),
-        extra=extra,
+        min_clique_size=min_clique_size,
     )
 
 
@@ -221,56 +205,14 @@ def block_clique_bound_csr(
     return clique_upper_bound_packed(bitmap)
 
 
-def _kernel_degeneracy_order(block: Block) -> list[Node]:
-    """The block's kernel nodes in degeneracy (peeling) order.
-
-    Must match :func:`repro.mce.bitmatrix.degeneracy_order_packed` on the
-    descriptor's member ordering exactly — same smallest-index tie-break
-    among minimum-residual-degree nodes — so a block analysed in a
-    shared-memory worker (:func:`analyze_block_csr`) emits its cliques in
-    the same order as the serial path, including when a crashed worker's
-    block is retried in the parent.
-    """
-    if len(block.kernel) <= 1:
-        return list(block.kernel)
-    members = (
-        list(block.kernel)
-        + sorted(block.border, key=str)
-        + sorted(block.visited, key=str)
-    )
-    index_of = {node: i for i, node in enumerate(members)}
-    graph = block.graph
-    neighbor_ids = [
-        [index_of[other] for other in graph.neighbors(node)] for node in members
-    ]
-    degrees = [len(ids) for ids in neighbor_ids]
-    alive = [True] * len(members)
-    num_kernel = len(block.kernel)
-    order: list[Node] = []
-    for _ in range(len(members)):
-        v = -1
-        best = len(members) + 1
-        for i, degree in enumerate(degrees):
-            if alive[i] and degree < best:
-                v = i
-                best = degree
-        alive[v] = False
-        if v < num_kernel:
-            order.append(members[v])
-        for other in neighbor_ids[v]:
-            if alive[other]:
-                degrees[other] -= 1
-    return order
-
-
 def _emit_anchored(
     emitter, backend: Backend, anchor, candidates, excluded, pivot_rule
 ) -> None:
     """The single emission seam: one anchored sweep into one emitter.
 
-    Every analysis path (dict-``Graph``, CSR, splittable, subtask — and,
-    through :meth:`~repro.core.cliquestore.CliqueBuffer.extend_prefixed`,
-    the bucket demux) funnels its cliques through here, so the output
+    Every analysis path (:func:`_sweep` — and, through
+    :meth:`~repro.core.cliquestore.CliqueBuffer.extend_prefixed`, the
+    bucket demux) funnels its cliques through here, so the output
     representation is decided in exactly one place.  The packed-bitmap
     backend emits array-natively — the batched kernel's spine columns
     land straight in the packed buffers, no per-clique tuple or
@@ -290,16 +232,21 @@ def _emit_anchored(
 
 @dataclass(frozen=True)
 class BlockDescriptor:
-    """A block reduced to node-id arrays over a published CSR snapshot.
+    """A block reduced to node-id arrays over a level CSR snapshot.
 
-    This is what the shared-memory executor ships to a worker instead of
-    a pickled subgraph: three small ``int64`` arrays naming the block's
-    members by their dense indices in the level graph's
-    :class:`repro.graph.csr.CSRGraph`.  ``kernel_ids`` preserves kernel
-    assignment order and ``border_ids``/``visited_ids`` are in the same
-    sorted-by-``str`` order :mod:`repro.core.blocks` uses, so the block
-    reconstructed by :func:`block_from_descriptor` has exactly the node
-    ordering of the original — the analysis is bit-for-bit identical.
+    This is what every executor analyses, and what the shared-memory
+    executor ships to a worker instead of a pickled subgraph: three
+    small ``int64`` arrays naming the block's members by their dense
+    indices in the level graph's :class:`repro.graph.csr.CSRGraph`.
+    ``kernel_ids`` preserves kernel assignment order.  The order of
+    ``border_ids``/``visited_ids`` depends on who built the descriptor:
+    :meth:`from_block` sorts them by ``str`` of the node label (the
+    order :mod:`repro.core.blocks` gives a block's induced graph), while
+    :func:`repro.core.blocks.blocks_csr` emits them in ascending dense
+    id.  Either way the member order is kernel, border, visited, and the
+    analysis is a pure function of it.  ``estimated_cost`` is what
+    schedulers order by: ``blocks_csr`` emits priced descriptors,
+    :meth:`from_block` unpriced ones (see :meth:`priced`).
     """
 
     block_id: int
@@ -310,24 +257,39 @@ class BlockDescriptor:
 
     @classmethod
     def from_block(
-        cls, block_id: int, block: Block, index_of: "dict[Node, int]"
+        cls, block_id: int, block: Block, csr: CSRGraph
     ) -> "BlockDescriptor":
-        """Build a descriptor for ``block`` under the dense index map."""
+        """An unpriced descriptor of ``block`` over its level snapshot ``csr``.
 
-        def ids(nodes) -> np.ndarray:
-            return np.fromiter(
-                (index_of[node] for node in nodes), dtype=np.int64, count=len(nodes)
-            )
-
+        The block's own ``graph`` is never read.
+        """
+        members = block.members
+        member_ids = np.fromiter(
+            map(csr.index_of, members), dtype=np.int64, count=len(members)
+        )
+        border_start = len(block.kernel)
+        visited_start = border_start + len(block.border)
         return cls(
             block_id=block_id,
-            kernel_ids=ids(block.kernel),
-            border_ids=ids(sorted(block.border, key=str)),
-            visited_ids=ids(sorted(block.visited, key=str)),
-            estimated_cost=estimate_analysis_cost(
-                block.graph.num_nodes, block.graph.num_edges
-            ),
+            kernel_ids=member_ids[:border_start],
+            border_ids=member_ids[border_start:visited_start],
+            visited_ids=member_ids[visited_start:],
         )
+
+    def priced(
+        self, csr: CSRGraph, scratch: BitmapScratch | None = None
+    ) -> "BlockDescriptor":
+        """This descriptor with ``estimated_cost`` set from ``csr``.
+
+        The cost comes from the member count and the induced edge count,
+        gathered from ``csr`` the way :func:`repro.core.blocks.blocks_csr`
+        prices its descriptors.
+        """
+        member_ids = np.concatenate(
+            (self.kernel_ids, self.border_ids, self.visited_ids)
+        )
+        edges = induced_edge_count(csr.indptr, csr.indices, member_ids, scratch)
+        return replace(self, estimated_cost=estimate_analysis_cost(self.size, edges))
 
     def nbytes(self) -> int:
         """Bytes of payload actually dispatched for this block."""
@@ -339,38 +301,6 @@ class BlockDescriptor:
     def size(self) -> int:
         """Total number of nodes in the described block."""
         return len(self.kernel_ids) + len(self.border_ids) + len(self.visited_ids)
-
-
-def block_from_descriptor(
-    descriptor: BlockDescriptor,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    labels: list[Node],
-) -> Block:
-    """Rebuild a :class:`Block` from CSR views of the level graph.
-
-    The induced subgraph is recovered by walking each member's CSR row
-    and keeping the endpoints inside the member set — the zero-copy
-    replacement for pickling ``block.graph`` across the process
-    boundary.  Node insertion order (kernel order, then sorted border,
-    then sorted visited) matches :func:`repro.core.blocks.build_blocks`.
-    """
-    member_ids = np.concatenate(
-        [descriptor.kernel_ids, descriptor.border_ids, descriptor.visited_ids]
-    )
-    member_set = set(member_ids.tolist())
-    graph = Graph(nodes=(labels[i] for i in member_ids.tolist()))
-    for u in member_ids.tolist():
-        row = indices[indptr[u] : indptr[u + 1]]
-        for v in row.tolist():
-            if v in member_set and u < v:
-                graph.add_edge(labels[u], labels[v])
-    return Block(
-        kernel=tuple(labels[i] for i in descriptor.kernel_ids.tolist()),
-        border=frozenset(labels[i] for i in descriptor.border_ids.tolist()),
-        visited=frozenset(labels[i] for i in descriptor.visited_ids.tolist()),
-        graph=graph,
-    )
 
 
 def analyze_block_csr(
@@ -385,57 +315,47 @@ def analyze_block_csr(
 ) -> BlockReport:
     """Analyse one block directly from CSR views — no ``Graph`` rebuild.
 
-    The zero-copy fast path run inside shared-memory workers: the
-    block's induced subgraph is packed straight from the CSR rows into
-    an adjacency bitmap (:func:`~repro.graph.csr.extract_block_bitmap`,
-    optionally through a per-worker scratch cache), features and the
-    decision-tree choice are computed from the packed rows, and the
-    chosen backend is materialized from the bitmap via ``from_packed``.
-    Produces the same clique set as :func:`analyze_block` on the
-    corresponding :func:`block_from_descriptor` block — the differential
-    executor suite pins the two paths against each other.
-    ``min_clique_size`` skips below-floor anchors as in
-    :func:`analyze_block`.
+    The block analysis every executor runs, serial or in a pool worker:
+    :func:`_materialize_csr` packs the block's induced subgraph straight
+    from the CSR rows, one peel over its int-mask rows yields the
+    features and the kernel anchor order, the decision tree picks the
+    combo, and the chosen backend is built from the same rows.
+    ``min_clique_size`` skips below-floor anchors (see
+    :func:`_anchor_below_floor`).
     """
-    start = time.perf_counter()
-    bitmap, features, combo, backend, pivot_rule, num_members, member_labels = (
-        _materialize_csr(descriptor, indptr, indices, labels, tree, combo, scratch)
-    )
-    selection_seconds = _LAST_SELECTION_SECONDS
-    num_kernel = len(descriptor.kernel_ids)
-    num_candidates = num_kernel + len(descriptor.border_ids)
-    candidates = backend.make(range(num_candidates))
-    excluded = backend.make(range(num_candidates, num_members))
-    kernel_order = _kernel_order_of(bitmap, num_kernel)
-    emitter = make_emitter(member_labels)
-    anchors_skipped = 0
-    for anchor in kernel_order:
-        if _anchor_below_floor(backend, anchor, candidates, min_clique_size):
-            anchors_skipped += 1
-        else:
-            _emit_anchored(emitter, backend, anchor, candidates, excluded, pivot_rule)
-        candidates = backend.remove(candidates, anchor)
-        excluded = backend.add(excluded, anchor)
-    extra: dict[str, float] = {}
-    if anchors_skipped:
-        extra["anchors_skipped"] = float(anchors_skipped)
-    if selection_seconds:
-        extra["selection_seconds"] = selection_seconds
-    return BlockReport(
-        cliques=emitter.build(),
+    return analyze_block_csr_splittable(
+        descriptor,
+        indptr,
+        indices,
+        labels,
+        tree=tree,
         combo=combo,
-        features=features,
-        seconds=time.perf_counter() - start,
-        kernel_nodes=num_kernel,
-        extra=extra,
+        scratch=scratch,
+        min_clique_size=min_clique_size,
     )
 
 
-# Selector wall-clock of the most recent _materialize_csr call in this
-# process (0.0 when a forced combo bypassed the tree).  A module global
-# rather than a widened return tuple: only the whole-block path reports
-# it, and worker processes each keep their own copy.
-_LAST_SELECTION_SECONDS = 0.0
+@dataclass(frozen=True)
+class _Materialization:
+    """Everything an analysis path reads about one block.
+
+    ``order`` is the peel order of all members; ``selection_seconds``
+    is ``0.0`` when a forced combo bypassed the tree.  ``bitmap`` may be
+    a scratch buffer, valid until the next same-sized block.
+    """
+
+    bitmap: np.ndarray
+    features: BlockFeatures
+    order: list[int]
+    combo: Combo
+    backend: Backend
+    pivot_rule: object
+    member_labels: list[Node]
+    selection_seconds: float
+
+    def kernel_order(self, num_kernel: int) -> list[int]:
+        """Kernel member positions in degeneracy (peeling) order."""
+        return [i for i in self.order if i < num_kernel]
 
 
 def _materialize_csr(
@@ -446,46 +366,87 @@ def _materialize_csr(
     tree: DecisionTree | None,
     combo: Combo | None,
     scratch: BitmapScratch | None,
-):
-    """Shared CSR→backend materialization for blocks and subtasks.
+) -> _Materialization:
+    """The one CSR→backend materialization of every analysis path.
 
-    Returns ``(bitmap, features, combo, backend, pivot_rule, n,
-    member_labels)``.  The member ordering (kernel, then border, then
-    visited) is a pure function of the descriptor's id arrays, so every
-    fragment of a split block sees the identical bitmap, features, and
-    combo choice as an unsplit analysis of the same block —
-    ``member_labels`` doubles as the emitters' per-block decode table.
+    One flat gather packs the member rows
+    (:func:`~repro.graph.csr.extract_block_bitmap`); the rows become
+    Python-int masks, and one bucket-mask peel over them
+    (:func:`~repro.decision.features.peel_features`) yields both the
+    features and the peel order; the selected backend is built from the
+    packed rows.  The member ordering (kernel, then border, then visited) is a pure
+    function of the descriptor's id arrays, so every fragment of a split
+    block sees the identical rows, features, and combo choice as an
+    unsplit analysis of the same block — ``member_labels`` doubles as
+    the emitters' per-block decode table.
     """
     member_ids = np.concatenate(
         [descriptor.kernel_ids, descriptor.border_ids, descriptor.visited_ids]
     )
     bitmap = extract_block_bitmap(indptr, indices, member_ids, scratch)
-    features = features_from_bitmap(bitmap)
-    global _LAST_SELECTION_SECONDS
-    _LAST_SELECTION_SECONDS = 0.0
+    masks = bitmap_masks(bitmap)
+    features, order = peel_features(masks)
+    selection_seconds = 0.0
     if combo is None:
         select_start = time.perf_counter()
         combo = select_combo(tree if tree is not None else paper_tree(), features)
-        _LAST_SELECTION_SECONDS = time.perf_counter() - select_start
+        selection_seconds = time.perf_counter() - select_start
     member_labels = [labels[i] for i in member_ids.tolist()]
-    backend = backend_from_bitmap(combo.backend, member_labels, bitmap)
-    pivot_rule = get_pivot_rule(combo.algorithm)
-    return (
-        bitmap,
-        features,
-        combo,
-        backend,
-        pivot_rule,
-        len(member_ids),
-        member_labels,
+    return _Materialization(
+        bitmap=bitmap,
+        features=features,
+        order=order,
+        combo=combo,
+        backend=backend_from_bitmap(combo.backend, member_labels, bitmap),
+        pivot_rule=get_pivot_rule(combo.algorithm),
+        member_labels=member_labels,
+        selection_seconds=selection_seconds,
     )
 
 
-def _kernel_order_of(bitmap: np.ndarray, num_kernel: int) -> list[int]:
-    """Kernel member positions in degeneracy (peeling) order."""
-    if num_kernel > 1:
-        return [i for i in degeneracy_order_packed(bitmap) if i < num_kernel]
-    return list(range(num_kernel))
+def _sweep(
+    block: _Materialization,
+    anchors: list[int],
+    candidates,
+    excluded,
+    emitter,
+    min_clique_size: int,
+    overrun=None,
+) -> tuple[int, int]:
+    """The anchored kernel sweep of Alg. 4 over ``anchors``, in order.
+
+    Each anchor enumerates its cliques into ``emitter`` (unless it is
+    below the floor) and then moves from the candidate to the excluded
+    side.  ``overrun(done)`` may stop the sweep after any anchor.
+    Returns ``(anchors done, anchors skipped)``.
+    """
+    backend = block.backend
+    skipped = 0
+    for done, anchor in enumerate(anchors, 1):
+        if _anchor_below_floor(backend, anchor, candidates, min_clique_size):
+            skipped += 1
+        else:
+            _emit_anchored(
+                emitter, backend, anchor, candidates, excluded, block.pivot_rule
+            )
+        candidates = backend.remove(candidates, anchor)
+        excluded = backend.add(excluded, anchor)
+        if overrun is not None and overrun(done):
+            return done, skipped
+    return len(anchors), skipped
+
+
+def _extra_of(anchors_skipped: int, selection_seconds: float) -> dict[str, float]:
+    """The ``BlockReport.extra`` counters every analysis path reports."""
+    extra: dict[str, float] = {}
+    if anchors_skipped:
+        extra["anchors_skipped"] = float(anchors_skipped)
+    if selection_seconds:
+        # The measured price of consulting the selector for this block;
+        # harvests and benchmarks check it stays a vanishing fraction
+        # of the analysis time (the <1% selection-overhead budget).
+        extra["selection_seconds"] = selection_seconds
+    return extra
 
 
 # ----------------------------------------------------------------------
@@ -641,14 +602,15 @@ def analyze_bucket_csr(
         bitmap = extract_block_bitmap(indptr, indices, member_ids, scratch)
         stacked[b, : bitmap.shape[0], : bitmap.shape[1]] = bitmap
     # One lockstep peel yields every block's degeneracy (a feature) AND
-    # its kernel anchor order — the per-block path pays two Python-loop
-    # peels for the same information.
+    # its kernel anchor order — the per-block path's one-peel-for-both,
+    # vectorized across the bucket.
     degrees = popcount_rows(stacked.reshape(-1, words)).reshape(num_blocks, n_pad)
     orders, degeneracies = degeneracy_orders_many(stacked, sizes)
     num_edges = degrees.sum(axis=1) // 2
     d_stars = _d_stars_of_degree_matrix(degrees, n_pad)
     features_of: list[BlockFeatures] = []
     combos_of: list[Combo] = []
+    selection_of: list[float] = []
     for b in range(num_blocks):
         n = int(sizes[b])
         e = int(num_edges[b])
@@ -660,10 +622,14 @@ def analyze_bucket_csr(
             d_star=int(d_stars[b]),
         )
         features_of.append(features)
+        select_start = time.perf_counter()
         combos_of.append(
             combo
             if combo is not None
             else select_combo(tree if tree is not None else paper_tree(), features)
+        )
+        selection_of.append(
+            time.perf_counter() - select_start if combo is None else 0.0
         )
     # One vectorizable pivot kind drives the whole bucket (the clique
     # set is pivot-invariant); a unanimous recognized selection keeps
@@ -758,9 +724,8 @@ def analyze_bucket_csr(
         extra = {
             "batched": 1.0,
             "bucket_blocks": float(num_blocks),
+            **_extra_of(int(skipped_of[b]), selection_of[b]),
         }
-        if skipped_of[b]:
-            extra["anchors_skipped"] = float(skipped_of[b])
         reports.append(
             BlockReport(
                 cliques=emitter.build(),
@@ -996,76 +961,57 @@ def analyze_block_csr_splittable(
     Blocks with fewer than two kernel anchors never split.
     """
     start_time = time.perf_counter()
-    bitmap, features, combo, backend, pivot_rule, num_members, member_labels = (
-        _materialize_csr(descriptor, indptr, indices, labels, tree, combo, scratch)
-    )
+    block = _materialize_csr(descriptor, indptr, indices, labels, tree, combo, scratch)
     num_kernel = len(descriptor.kernel_ids)
     num_candidates = num_kernel + len(descriptor.border_ids)
-    kernel_order = _kernel_order_of(bitmap, num_kernel)
+    kernel_order = block.kernel_order(num_kernel)
     splittable = len(kernel_order) >= 2
-    if probe and splittable:
-        costs = anchor_cost_estimates(bitmap, kernel_order, num_candidates)
-        partial = BlockReport(
-            cliques=make_emitter(member_labels).build(),
-            combo=combo,
-            features=features,
+    emitter = make_emitter(block.member_labels)
+
+    def report(anchors_skipped: int) -> BlockReport:
+        return BlockReport(
+            cliques=emitter.build(),
+            combo=block.combo,
+            features=block.features,
             seconds=time.perf_counter() - start_time,
             kernel_nodes=num_kernel,
+            extra=_extra_of(anchors_skipped, block.selection_seconds),
         )
+
+    def split(partial: BlockReport, done: int) -> SplitResult:
         return SplitResult(
             block_id=descriptor.block_id,
             partial=partial,
             kernel_order=np.asarray(kernel_order, dtype=np.int64),
-            done=0,
-            anchor_costs=costs,
+            done=done,
+            anchor_costs=anchor_cost_estimates(
+                block.bitmap, kernel_order, num_candidates
+            ),
         )
-    candidates = backend.make(range(num_candidates))
-    excluded = backend.make(range(num_candidates, num_members))
-    emitter = make_emitter(member_labels)
-    anchors_skipped = 0
-    for position, anchor in enumerate(kernel_order):
-        if _anchor_below_floor(backend, anchor, candidates, min_clique_size):
-            anchors_skipped += 1
-        else:
-            _emit_anchored(emitter, backend, anchor, candidates, excluded, pivot_rule)
-        candidates = backend.remove(candidates, anchor)
-        excluded = backend.add(excluded, anchor)
-        done = position + 1
-        overrun = (
-            budget_seconds is not None
-            and splittable
-            and len(kernel_order) - done >= 2
-            and time.perf_counter() - start_time > budget_seconds
-        )
-        if overrun:
-            costs = anchor_cost_estimates(bitmap, kernel_order, num_candidates)
-            partial = BlockReport(
-                cliques=emitter.build(),
-                combo=combo,
-                features=features,
-                seconds=time.perf_counter() - start_time,
-                kernel_nodes=num_kernel,
-                extra=(
-                    {"anchors_skipped": float(anchors_skipped)}
-                    if anchors_skipped
-                    else {}
-                ),
+
+    if probe and splittable:
+        return split(report(0), 0)
+    overrun = None
+    if budget_seconds is not None and splittable:
+
+        def overrun(done: int) -> bool:
+            return (
+                len(kernel_order) - done >= 2
+                and time.perf_counter() - start_time > budget_seconds
             )
-            return SplitResult(
-                block_id=descriptor.block_id,
-                partial=partial,
-                kernel_order=np.asarray(kernel_order, dtype=np.int64),
-                done=done,
-                anchor_costs=costs,
-            )
-    return BlockReport(
-        cliques=emitter.build(),
-        combo=combo,
-        features=features,
-        seconds=time.perf_counter() - start_time,
-        kernel_nodes=num_kernel,
-        extra={"anchors_skipped": float(anchors_skipped)} if anchors_skipped else {},
+
+    done, anchors_skipped = _sweep(
+        block,
+        kernel_order,
+        block.backend.make(range(num_candidates)),
+        block.backend.make(range(num_candidates, len(block.member_labels))),
+        emitter,
+        min_clique_size,
+        overrun,
     )
+    if done < len(kernel_order):
+        return split(report(anchors_skipped), done)
+    return report(anchors_skipped)
 
 
 def analyze_subtask_csr(
@@ -1089,36 +1035,30 @@ def analyze_subtask_csr(
     (same test as the unsplit sweep, so fragments stay bit-compatible).
     """
     start_time = time.perf_counter()
-    bitmap, features, combo, backend, pivot_rule, num_members, member_labels = (
-        _materialize_csr(subtask, indptr, indices, labels, tree, combo, scratch)
-    )
+    block = _materialize_csr(subtask, indptr, indices, labels, tree, combo, scratch)
     num_kernel = len(subtask.kernel_ids)
     num_candidates = num_kernel + len(subtask.border_ids)
-    processed = [int(i) for i in subtask.kernel_order[: subtask.start]]
+    processed = subtask.kernel_order[: subtask.start].tolist()
     processed_set = set(processed)
-    candidates = backend.make(
-        i for i in range(num_candidates) if i not in processed_set
+    backend = block.backend
+    emitter = make_emitter(block.member_labels)
+    _, anchors_skipped = _sweep(
+        block,
+        subtask.kernel_order[subtask.start : subtask.stop].tolist(),
+        backend.make(i for i in range(num_candidates) if i not in processed_set),
+        backend.make(
+            list(range(num_candidates, len(block.member_labels))) + processed
+        ),
+        emitter,
+        min_clique_size,
     )
-    excluded = backend.make(
-        list(range(num_candidates, num_members)) + processed
-    )
-    emitter = make_emitter(member_labels)
-    anchors_skipped = 0
-    for position in range(subtask.start, subtask.stop):
-        anchor = int(subtask.kernel_order[position])
-        if _anchor_below_floor(backend, anchor, candidates, min_clique_size):
-            anchors_skipped += 1
-        else:
-            _emit_anchored(emitter, backend, anchor, candidates, excluded, pivot_rule)
-        candidates = backend.remove(candidates, anchor)
-        excluded = backend.add(excluded, anchor)
     return BlockReport(
         cliques=emitter.build(),
-        combo=combo,
-        features=features,
+        combo=block.combo,
+        features=block.features,
         seconds=time.perf_counter() - start_time,
         kernel_nodes=subtask.stop - subtask.start,
-        extra={"anchors_skipped": float(anchors_skipped)} if anchors_skipped else {},
+        extra=_extra_of(anchors_skipped, block.selection_seconds),
     )
 
 
@@ -1170,9 +1110,10 @@ def merge_fragment_reports(
     extra: dict[str, float] = {}
     for _, _, report in ordered:
         seconds += report.seconds
-        skipped = float(report.extra.get("anchors_skipped", 0.0))
-        if skipped:
-            extra["anchors_skipped"] = extra.get("anchors_skipped", 0.0) + skipped
+        for counter in ("anchors_skipped", "selection_seconds"):
+            value = float(report.extra.get(counter, 0.0))
+            if value:
+                extra[counter] = extra.get(counter, 0.0) + value
         extra["dispatch_bytes"] = extra.get("dispatch_bytes", 0.0) + float(
             report.extra.get("dispatch_bytes", 0.0)
         )

@@ -22,39 +22,88 @@ homogeneous chunks that an exact MCE algorithm then refines.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from repro.errors import DecompositionError
 from repro.graph.adjacency import Graph, Node
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import BitmapScratch, CSRGraph, induced_edge_count
 from repro.graph.views import induced_subgraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (block_analysis imports us)
     from repro.core.block_analysis import BlockDescriptor
 
 
-@dataclass(frozen=True)
 class Block:
     """One unit of distributed work produced by the decomposition.
 
     ``kernel`` preserves assignment order (the order in which nodes were
     promoted from border to kernel), which :mod:`repro.core.block_analysis`
     uses for its deterministic anchored sweep.  ``graph`` is the subgraph
-    of the input induced by ``kernel ∪ border ∪ visited``.
+    of the input induced by ``kernel ∪ border ∪ visited``, with nodes in
+    :attr:`members` order.
+
+    Blocks from :func:`build_blocks` build ``graph`` on first access
+    (:meth:`induced`): the analysis path reads a block's adjacency from
+    the level CSR, so most blocks never need their own ``Graph``.  The
+    level graph must not change while such a block is in use.  Pickling
+    ships the induced graph, never the level graph.  Blocks are
+    immutable.
     """
 
-    kernel: tuple[Node, ...]
-    border: frozenset[Node]
-    visited: frozenset[Node]
-    graph: Graph
+    __slots__ = ("kernel", "border", "visited", "_graph", "_level")
+
+    def __init__(
+        self,
+        kernel: tuple[Node, ...],
+        border: frozenset[Node],
+        visited: frozenset[Node],
+        graph: Graph,
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "kernel", kernel)
+        _set(self, "border", border)
+        _set(self, "visited", visited)
+        _set(self, "_graph", graph)
+        _set(self, "_level", None)
+
+    @classmethod
+    def induced(
+        cls,
+        kernel: tuple[Node, ...],
+        border: frozenset[Node],
+        visited: frozenset[Node],
+        level: Graph,
+    ) -> "Block":
+        """A block whose ``graph`` is induced from ``level`` when first read."""
+        block = cls(kernel, border, visited, None)  # type: ignore[arg-type]
+        object.__setattr__(block, "_level", level)
+        return block
+
+    @property
+    def graph(self) -> Graph:
+        """The induced subgraph of the block's members."""
+        if self._graph is None:
+            object.__setattr__(
+                self, "_graph", induced_subgraph(self._level, self.members)
+            )
+            object.__setattr__(self, "_level", None)
+        return self._graph
+
+    @property
+    def members(self) -> list[Node]:
+        """Kernel (assignment order), then border and visited sorted by ``str``."""
+        return [
+            *self.kernel,
+            *sorted(self.border, key=str),
+            *sorted(self.visited, key=str),
+        ]
 
     @property
     def size(self) -> int:
         """Total number of nodes in the block."""
-        return self.graph.num_nodes
+        return len(self.kernel) + len(self.border) + len(self.visited)
 
     def node_kind(self, node: Node) -> str:
         """Return ``"kernel"``, ``"border"`` or ``"visited"`` for a member.
@@ -71,6 +120,24 @@ class Block:
         if node in self.kernel:
             return "kernel"
         raise KeyError(f"node {node!r} is not in this block")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Block is immutable; cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Block):
+            return NotImplemented
+        return (self.kernel, self.border, self.visited, self.graph) == (
+            other.kernel,
+            other.border,
+            other.visited,
+            other.graph,
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # the graph is mutable
+
+    def __reduce__(self):
+        return (Block, (self.kernel, self.border, self.visited, self.graph))
 
     def __repr__(self) -> str:
         return (
@@ -184,15 +251,7 @@ def _grow_block(
     neighborhood = closed - kernel_set
     visited = frozenset(neighborhood & used_kernels)
     border = frozenset(neighborhood - visited)
-    members = list(kernel)
-    members.extend(sorted(border, key=str))
-    members.extend(sorted(visited, key=str))
-    return Block(
-        kernel=tuple(kernel),
-        border=border,
-        visited=visited,
-        graph=induced_subgraph(graph, members),
-    )
+    return Block.induced(tuple(kernel), border, visited, graph)
 
 
 def _select_candidate(
@@ -293,6 +352,7 @@ def blocks_csr(
     count_epoch = np.zeros(n, dtype=np.int64)
     adj_count = np.zeros(n, dtype=np.int64)  # adjacencies to current kernel
     discovery = np.zeros(n, dtype=np.int64)  # first-counted order (tie-break)
+    scratch = BitmapScratch()  # position map for pricing each block
 
     epoch = 0
     block_id = 0
@@ -382,35 +442,10 @@ def blocks_csr(
             visited_ids=visited_ids,
             estimated_cost=estimate_analysis_cost(
                 closed_size,
-                _induced_edge_count(indptr, indices, closed, closed_epoch, epoch),
+                induced_edge_count(indptr, indices, closed, scratch),
             ),
         )
         block_id += 1
-
-
-def _induced_edge_count(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    members: np.ndarray,
-    closed_epoch: np.ndarray,
-    epoch: int,
-) -> int:
-    """Edges of the subgraph induced by ``members`` (one flat gather).
-
-    ``closed_epoch[x] == epoch`` is the membership test — the caller has
-    just stamped exactly the block's closed set with ``epoch``.
-    """
-    counts = indptr[members + 1] - indptr[members]
-    total = int(counts.sum())
-    if total == 0:
-        return 0
-    starts = np.cumsum(counts) - counts
-    flat = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(starts, counts)
-        + np.repeat(indptr[members], counts)
-    )
-    return int((closed_epoch[indices[flat]] == epoch).sum()) // 2
 
 
 def decomposition_overlap(blocks: list[Block]) -> float:
@@ -425,7 +460,7 @@ def decomposition_overlap(blocks: list[Block]) -> float:
     total = sum(block.size for block in blocks)
     distinct: set[Node] = set()
     for block in blocks:
-        distinct.update(block.graph.nodes())
+        distinct.update(block.kernel, block.border, block.visited)
     if not distinct:
         return 0.0
     return total / len(distinct)

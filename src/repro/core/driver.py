@@ -26,7 +26,9 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core.block_analysis import (
+# analyze_block is unused here, but benchmarks/e2e/layertrace.py patches it
+# and fails without it; drop it once that tracer spans executor analysis.
+from repro.core.block_analysis import (  # noqa: F401
     analyze_block,
     block_clique_bound,
     block_clique_bound_csr,
@@ -110,7 +112,8 @@ def find_max_cliques(
     executor:
         An object with the executors' ``map_blocks`` interface (see
         :mod:`repro.distributed.executor`) used to analyse each level's
-        blocks; ``None`` (the default) analyses them serially in-process.
+        blocks; ``None`` (the default) analyses them serially in-process
+        through a :class:`~repro.distributed.executor.SerialExecutor`.
         The clique output is identical for every executor.
     pipeline:
         When true, run the CSR-native streaming decomposition instead of
@@ -270,7 +273,16 @@ def _barrier_enumerate(
     run_log: RunLog | None,
     min_clique_size: int = 0,
 ) -> CliqueResult:
-    """The original level-synchronous loop (every non-pipeline mode)."""
+    """The level-synchronous loop (every non-pipeline mode).
+
+    With no ``executor`` given, each level runs through a
+    :class:`~repro.distributed.executor.SerialExecutor`, which analyses
+    the level's blocks over one CSR snapshot and records a trace.
+    """
+    if executor is None:
+        from repro.distributed.executor import SerialExecutor
+
+        executor = _configure_prune(SerialExecutor(), min_clique_size)
     level_cliques: "list[CliqueStore | list[frozenset[Node]]]" = []
     clique_index = GlobalCliqueIndex()
     level_stats: list[LevelStats] = []
@@ -362,33 +374,14 @@ def _barrier_enumerate(
         decomposition_seconds = time.perf_counter() - decomposition_start
 
         analysis_start = time.perf_counter()
-        if executor is None and run_log is None:
-            reports = [
-                analyze_block(
-                    block,
-                    tree=selection_tree,
-                    combo=combo,
-                    min_clique_size=min_clique_size,
-                )
-                for block in blocks
-            ]
-        else:
-            if executor is None:
-                # A durable serial run routes through SerialExecutor,
-                # which already speaks the skip/replay/record protocol.
-                from repro.distributed.executor import SerialExecutor
-
-                executor = SerialExecutor()
-                if min_clique_size > 0:
-                    executor = _configure_prune(executor, min_clique_size)
-            reports = executor.map_blocks(
-                blocks,
-                tree=selection_tree,
-                combo=combo,
-                graph=current,
-                run_log=run_log,
-                level=level,
-            )
+        reports = executor.map_blocks(
+            blocks,
+            tree=selection_tree,
+            combo=combo,
+            graph=current,
+            run_log=run_log,
+            level=level,
+        )
         cliques = _level_cliques_of(reports, clique_index)
         analysis_seconds = time.perf_counter() - analysis_start
         cliques = filter_min_size(cliques, min_clique_size)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.core.blocks import Block
 from repro.errors import DecompositionError
 from repro.graph.adjacency import Graph, Node
-from repro.graph.views import induced_subgraph
 
 
 def build_uniform_blocks(
@@ -67,17 +66,7 @@ def build_uniform_blocks(
         neighborhood = closed - kernel_set
         visited = frozenset(neighborhood & used_kernels)
         border = frozenset(neighborhood - visited)
-        members = list(kernel)
-        members.extend(sorted(border, key=str))
-        members.extend(sorted(visited, key=str))
-        blocks.append(
-            Block(
-                kernel=tuple(kernel),
-                border=border,
-                visited=visited,
-                graph=induced_subgraph(graph, members),
-            )
-        )
+        blocks.append(Block.induced(tuple(kernel), border, visited, graph))
         used_kernels |= kernel_set
     return blocks
 

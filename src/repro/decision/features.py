@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.graph.adjacency import Graph
 from repro.graph.cores import degeneracy as graph_degeneracy
+from repro.graph.cores import peel_masks
 from repro.graph.properties import d_star as graph_d_star
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -92,37 +93,46 @@ def extract_features(graph: Graph) -> BlockFeatures:
 def features_from_bitmap(bitmap: np.ndarray) -> BlockFeatures:
     """Extract :class:`BlockFeatures` from a packed adjacency bitmap.
 
-    The bitmap-direct twin of :meth:`BlockFeatures.of` used by the
-    zero-copy worker path: all five parameters are computed from the
-    ``n × ceil(n/64)`` ``uint64`` adjacency rows (degrees by word
-    popcount, degeneracy by packed peeling, ``d*`` from the degree
-    sequence) and agree exactly with the ``Graph``-based extraction on
-    the same subgraph, so the decision tree selects the same combination
-    no matter which path materialized the block.
+    The bitmap-direct twin of :meth:`BlockFeatures.of`: the rows become
+    Python-int masks (:func:`~repro.graph.csr.bitmap_masks`) and go
+    through the same single peel every block analysis runs
+    (:func:`peel_features`), so the five parameters agree exactly with
+    the ``Graph``-based extraction on the same subgraph and the decision
+    tree selects the same combination no matter which path materialized
+    the block.
     """
-    from repro.mce.bitmatrix import degeneracy_packed, popcount_rows
+    from repro.graph.csr import bitmap_masks
 
-    n = int(bitmap.shape[0])
-    degrees = popcount_rows(bitmap)
-    num_edges = int(degrees.sum()) // 2
-    density = 2.0 * num_edges / (n * (n - 1)) if n > 1 else 0.0
-    return BlockFeatures(
+    return peel_features(bitmap_masks(bitmap))[0]
+
+
+def peel_features(masks: "list[int]") -> "tuple[BlockFeatures, list[int]]":
+    """The five features and the degeneracy order of a block, from one peel.
+
+    ``masks[i]`` is member ``i``'s adjacency as a Python-int bitmask.
+    Degrees are popcounts, the degeneracy and the peel order come from
+    :func:`~repro.graph.cores.peel_masks`, and ``d*`` from the degree
+    sequence — so a block analysis pays one peel for both its selector
+    input and its kernel anchor order.
+    """
+    n = len(masks)
+    degrees = [mask.bit_count() for mask in masks]
+    num_edges = sum(degrees) // 2
+    order, degeneracy = peel_masks(masks)
+    features = BlockFeatures(
         num_nodes=n,
         num_edges=num_edges,
-        density=density,
-        degeneracy=degeneracy_packed(bitmap),
-        d_star=_d_star_of_degrees(degrees, n),
+        density=2.0 * num_edges / (n * (n - 1)) if n > 1 else 0.0,
+        degeneracy=degeneracy,
+        d_star=_d_star_of_degrees(degrees),
     )
+    return features, order
 
 
-def _d_star_of_degrees(degrees: np.ndarray, n: int) -> int:
-    """Degree h-index from a degree vector (same convention as ``d_star``)."""
-    if n == 0:
-        return 0
-    descending = np.sort(degrees)[::-1]
-    at_least = descending >= np.arange(1, n + 1)
-    hits = np.flatnonzero(at_least)
-    return int(hits[-1]) + 1 if len(hits) else 0
+def _d_star_of_degrees(degrees: "list[int]") -> int:
+    """Degree h-index from a degree list (same convention as ``d_star``)."""
+    descending = sorted(degrees, reverse=True)
+    return sum(1 for rank, degree in enumerate(descending, 1) if degree >= rank)
 
 
 def estimate_analysis_cost(num_nodes: int, num_edges: int) -> float:

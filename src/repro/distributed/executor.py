@@ -145,6 +145,13 @@ def _replayed_timing(block_id: int, report: BlockReport) -> BlockTiming:
 class SerialExecutor:
     """Analyse blocks one after another in the calling process.
 
+    The default executor of :func:`repro.core.driver.find_max_cliques`:
+    each call analyses the level's blocks as descriptors over one level
+    CSR (:func:`_level_descriptors`, as :class:`SharedMemoryExecutor`
+    does), never through a per-block ``Graph``, and records an
+    :class:`~repro.mce.instrumentation.ExecutionTrace` on
+    :attr:`last_trace`.
+
     ``batch_blocks`` (default off) fuses small same-padded-shape blocks
     into multi-block kernel buckets (``analyze_bucket_csr``) instead of
     analysing them one at a time — the serial twin of the shared-memory
@@ -170,64 +177,34 @@ class SerialExecutor:
         run_log: RunLog | None = None,
         level: int = 0,
     ) -> list[BlockReport]:
-        """Return one :class:`BlockReport` per block, in block order."""
-        if self.batch_blocks:
-            return self._map_blocks_batched(
-                blocks, tree, combo, graph, run_log, level
-            )
-        reports: list[BlockReport] = []
-        for block_id, block in enumerate(blocks):
-            if run_log is not None and run_log.is_completed(level, block_id):
-                reports.append(run_log.replay_report(level, block_id))
-                continue
-            report = analyze_block(
-                block,
-                tree=tree,
-                combo=combo,
-                min_clique_size=self.min_clique_size,
-            )
-            if run_log is not None:
-                run_log.record(level, block_id, report)
-            reports.append(report)
-        return reports
+        """Return one :class:`BlockReport` per block, in block order.
 
-    def _map_blocks_batched(
-        self,
-        blocks: list[Block],
-        tree: DecisionTree | None,
-        combo: Combo | None,
-        graph: Graph | None,
-        run_log: RunLog | None,
-        level: int,
-    ) -> list[BlockReport]:
-        """Bucketed analysis: small blocks fused, large ones per-block."""
-        if not blocks:
-            self.last_trace = ExecutionTrace()
-            return []
-        csr = CSRGraph(graph if graph is not None else _union_graph(blocks))
-        index_of = {node: i for i, node in enumerate(csr.labels)}
-        descriptors = [
-            BlockDescriptor.from_block(i, block, index_of)
-            for i, block in enumerate(blocks)
-        ]
+        ``graph`` should be the level graph the blocks were cut from
+        (see :func:`_level_descriptors`).  Blocks ``run_log`` already
+        holds are replayed; the level CSR is built only when some block
+        is still pending, so resuming a finished run does no extra work.
+        """
         trace = ExecutionTrace()
         self.last_trace = trace
         results: dict[int, BlockReport] = {}
-        pending: list[BlockDescriptor] = []
-        for block_id, descriptor in enumerate(descriptors):
-            if run_log is not None and run_log.is_completed(level, block_id):
-                report = run_log.replay_report(level, block_id)
-                results[block_id] = report
-                trace.record(_replayed_timing(block_id, report))
-            else:
-                pending.append(descriptor)
-        cutoff = (
-            self.batch_cutoff
-            if self.batch_cutoff is not None
-            else adaptive_batch_cutoff([d.size for d in pending])
-        )
-        buckets, singles = form_buckets(pending, cutoff)
+        pending_ids = _replay_completed(len(blocks), run_log, level, trace, results)
+        if not pending_ids:
+            return [results[i] for i in range(len(blocks))]
         scratch = BitmapScratch()
+        csr, pending = _level_descriptors(blocks, graph, pending_ids)
+        if self.batch_blocks:
+            buckets, singles = form_buckets(
+                pending, _batch_cutoff(self.batch_cutoff, pending)
+            )
+        else:
+            buckets, singles = [], pending
+
+        def finish(block_id: int, report: BlockReport) -> None:
+            if run_log is not None:
+                trace.record_flush(run_log.record(level, block_id, report))
+            results[block_id] = report
+            trace.record(_timing_of(block_id, report))
+
         for bucket in buckets:
             stats: dict[str, float] = {}
             reports = analyze_bucket_csr(
@@ -237,31 +214,59 @@ class SerialExecutor:
             )
             trace.record_batch(_batch_dispatch_of(bucket, stats))
             for descriptor, report in zip(bucket.descriptors, reports):
-                if run_log is not None:
-                    trace.record_flush(
-                        run_log.record(level, descriptor.block_id, report)
-                    )
-                results[descriptor.block_id] = report
-                trace.record(_timing_of(descriptor.block_id, report))
+                finish(descriptor.block_id, report)
         for descriptor in singles:
-            report = analyze_block_csr(
-                descriptor, csr.indptr, csr.indices, csr.labels,
-                tree=tree, combo=combo, scratch=scratch,
-                min_clique_size=self.min_clique_size,
+            finish(
+                descriptor.block_id,
+                analyze_block_csr(
+                    descriptor, csr.indptr, csr.indices, csr.labels,
+                    tree=tree, combo=combo, scratch=scratch,
+                    min_clique_size=self.min_clique_size,
+                ),
             )
-            if run_log is not None:
-                trace.record_flush(
-                    run_log.record(level, descriptor.block_id, report)
-                )
-            results[descriptor.block_id] = report
-            trace.record(_timing_of(descriptor.block_id, report))
         return [results[i] for i in range(len(blocks))]
 
 
-def _analyze_one(args: tuple[Block, DecisionTree | None, Combo | None]) -> BlockReport:
-    """Top-level worker function (must be picklable for process pools)."""
-    block, tree, combo = args
-    return analyze_block(block, tree=tree, combo=combo)
+def _replay_completed(
+    num_blocks: int,
+    run_log: RunLog | None,
+    level: int,
+    trace: ExecutionTrace,
+    results: dict[int, BlockReport],
+) -> list[int]:
+    """Replay the blocks ``run_log`` already holds; return the others' ids."""
+    pending: list[int] = []
+    for block_id in range(num_blocks):
+        if run_log is not None and run_log.is_completed(level, block_id):
+            report = run_log.replay_report(level, block_id)
+            results[block_id] = report
+            trace.record(_replayed_timing(block_id, report))
+        else:
+            pending.append(block_id)
+    return pending
+
+
+def _level_descriptors(
+    blocks: list[Block], graph: Graph | None, block_ids: list[int]
+) -> tuple[CSRGraph, list[BlockDescriptor]]:
+    """One CSR snapshot of the level plus unpriced descriptors of ``block_ids``.
+
+    ``graph`` should be the level graph the blocks were cut from; when
+    omitted, the union of the block subgraphs (every induced edge of
+    every block, so the analysis is still exact) is used.
+    """
+    csr = CSRGraph(graph if graph is not None else _union_graph(blocks))
+    return csr, [
+        BlockDescriptor.from_block(block_id, blocks[block_id], csr)
+        for block_id in block_ids
+    ]
+
+
+def _batch_cutoff(cutoff: int | None, pending: "list[BlockDescriptor]") -> int:
+    """The batch size cutoff: explicit, or adapted to the pending blocks."""
+    if cutoff is not None:
+        return cutoff
+    return adaptive_batch_cutoff([d.size for d in pending])
 
 
 def _analyze_indexed(
@@ -705,55 +710,36 @@ class SharedMemoryExecutor:
         if not blocks:
             self.last_trace = ExecutionTrace()
             return []
-        publish_start = time.perf_counter()
-        csr = CSRGraph(graph if graph is not None else _union_graph(blocks))
-        index_of = {node: i for i, node in enumerate(csr.labels)}
-        descriptors = [
-            BlockDescriptor.from_block(i, block, index_of)
-            for i, block in enumerate(blocks)
-        ]
-        shared = SharedCSR.publish(csr)
-        trace = ExecutionTrace(
-            publish_bytes=shared.nbytes(),
-            publish_seconds=time.perf_counter() - publish_start,
-        )
+        trace = ExecutionTrace()
         self.last_trace = trace
         results: dict[int, BlockReport] = {}
-        pending_ids = []
-        for block_id in range(len(blocks)):
-            if run_log is not None and run_log.is_completed(level, block_id):
-                report = run_log.replay_report(level, block_id)
-                results[block_id] = report
-                trace.record(_replayed_timing(block_id, report))
-            else:
-                pending_ids.append(block_id)
+        pending_ids = _replay_completed(len(blocks), run_log, level, trace, results)
+        publish_start = time.perf_counter()
+        csr, pending = _level_descriptors(blocks, graph, pending_ids)
+        # LPT ordering and the split threshold read the costs.
+        scratch = BitmapScratch()
+        pending = [descriptor.priced(csr, scratch) for descriptor in pending]
+        shared = SharedCSR.publish(csr)
+        trace.publish_bytes = shared.nbytes()
+        trace.publish_seconds = time.perf_counter() - publish_start
         try:
-            if pending_ids:
+            if pending:
                 if self.split:
                     self._map_blocks_split(
-                        blocks, descriptors, pending_ids, shared, tree, combo,
-                        trace, results, run_log, level,
-                    )
-                elif self.batch_blocks:
-                    self._map_blocks_batched(
-                        descriptors, pending_ids, shared, tree, combo,
-                        trace, results, run_log, level,
+                        pending, shared, tree, combo, trace, results, run_log, level
                     )
                 else:
-                    self._map_blocks_whole(
-                        blocks, descriptors, pending_ids, shared, tree, combo,
-                        trace, results, run_log, level,
+                    self._map_blocks_units(
+                        pending, shared, tree, combo, trace, results, run_log, level
                     )
         finally:
             shared.close()
             shared.unlink()
         return [results[i] for i in range(len(blocks))]
 
-    def _map_blocks_whole(
+    def _map_blocks_units(
         self,
-        blocks: list[Block],
-        descriptors: list[BlockDescriptor],
-        pending_ids: list[int],
+        pending: list[BlockDescriptor],
         shared: SharedCSR,
         tree: DecisionTree | None,
         combo: Combo | None,
@@ -762,74 +748,27 @@ class SharedMemoryExecutor:
         run_log: RunLog | None,
         level: int,
     ) -> None:
-        """The original whole-block dispatch loop (``split=False``)."""
-        costs = {i: descriptors[i].estimated_cost for i in pending_ids}
-        order = [
-            pending_ids[rank]
-            for rank in lpt_order([costs[i] for i in pending_ids])
-        ]
-        with ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            initializer=_shm_worker_init,
-            initargs=(shared.handle, tree, combo, None, self.min_clique_size),
-        ) as pool:
-            pending = {
-                pool.submit(_shm_analyze, descriptors[i]): i for i in order
-            }
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    block_id = pending.pop(future)
-                    try:
-                        _, report = future.result()
-                    except BrokenProcessPool:
-                        report = self._retry(
-                            blocks[block_id], block_id, tree, combo, run_log
-                        )
-                    except ExecutorError as exc:
-                        exc.segment_path = _segment_path_of(run_log)
-                        raise
-                    if run_log is not None:
-                        trace.record_flush(
-                            run_log.record(level, block_id, report)
-                        )
-                    results[block_id] = report
-                    trace.record(_timing_of(block_id, report))
+        """Whole-block and bucket dispatch loop (``split=False``).
 
-    def _effective_cutoff(self, pending: "list[BlockDescriptor]") -> int:
-        """The batch size cutoff: explicit, or adapted to this batch."""
-        if self.batch_cutoff is not None:
-            return self.batch_cutoff
-        return adaptive_batch_cutoff([d.size for d in pending])
-
-    def _map_blocks_batched(
-        self,
-        descriptors: list[BlockDescriptor],
-        pending_ids: list[int],
-        shared: SharedCSR,
-        tree: DecisionTree | None,
-        combo: Combo | None,
-        trace: ExecutionTrace,
-        results: dict[int, BlockReport],
-        run_log: RunLog | None,
-        level: int,
-    ) -> None:
-        """Bucketed dispatch loop (``batch_blocks=True``, ``split=False``).
-
-        Small blocks travel as whole same-shape buckets — one future per
+        Each block is one future; with ``batch_blocks`` small blocks
+        travel as whole same-shape buckets instead — one future per
         bucket, one fused kernel run per future — while blocks above the
         cutoff keep the per-block path.  Work units are submitted in
         decreasing estimated-cost order (a bucket's cost is the sum of
         its members'), so dynamic LPT balancing is preserved at the
         work-unit level.  When the pool breaks, the failed unit is
-        re-run in the parent from the still-mapped segments: the whole
-        bucket for a bucket unit, the single block otherwise.
+        re-run in the parent from its descriptors and the still-mapped
+        segments: the whole bucket for a bucket unit, the single block
+        otherwise.
         """
-        pending = [descriptors[i] for i in pending_ids]
-        cutoff = self._effective_cutoff(pending)
-        buckets, singles = form_buckets(
-            pending, cutoff, max_bucket=self.batch_bucket_size
-        )
+        if self.batch_blocks:
+            buckets, singles = form_buckets(
+                pending,
+                _batch_cutoff(self.batch_cutoff, pending),
+                max_bucket=self.batch_bucket_size,
+            )
+        else:
+            buckets, singles = [], pending
         units: list[tuple] = [("bucket", bucket) for bucket in buckets]
         units.extend(("block", descriptor) for descriptor in singles)
         # Both payload kinds expose estimated_cost (a bucket's is the sum
@@ -947,9 +886,7 @@ class SharedMemoryExecutor:
 
     def _map_blocks_split(
         self,
-        blocks: list[Block],
-        descriptors: list[BlockDescriptor],
-        pending_ids: list[int],
+        pending: list[BlockDescriptor],
         shared: SharedCSR,
         tree: DecisionTree | None,
         combo: Combo | None,
@@ -976,21 +913,20 @@ class SharedMemoryExecutor:
         durable unit is the whole block, recorded exactly once.
         """
         workers = self.max_workers or os.cpu_count() or 1
-        costs = [descriptors[i].estimated_cost for i in pending_ids]
+        costs = [descriptor.estimated_cost for descriptor in pending]
         threshold = (
             self.split_threshold
             if self.split_threshold is not None
             else adaptive_split_threshold(costs, workers)
         )
         target = self.split_subtasks or max(2, 4 * workers)
-        pending = [descriptors[i] for i in pending_ids]
         if self.batch_blocks:
             # Buckets and large blocks share the deque: the cutoff decides
             # which regime a block belongs to, the split threshold (always
             # above the cutoff in practice) which large blocks probe.
             buckets, loose = form_buckets(
                 pending,
-                self._effective_cutoff(pending),
+                _batch_cutoff(self.batch_cutoff, pending),
                 max_bucket=self.batch_bucket_size,
             )
         else:
@@ -1262,37 +1198,6 @@ class SharedMemoryExecutor:
         if retried:
             report.extra["retried"] = 1.0
         report.extra["dispatch_bytes"] = float(subtask.nbytes())
-        return report
-
-    def _retry(
-        self,
-        block: Block,
-        block_id: int,
-        tree: DecisionTree | None,
-        combo: Combo | None,
-        run_log: RunLog | None = None,
-    ) -> BlockReport:
-        """Re-run a block whose worker died; in the parent, serially."""
-        if not self.retry_failed:
-            raise ExecutorError(
-                f"worker process died while analysing block {block_id}",
-                block_id=block_id,
-                segment_path=_segment_path_of(run_log),
-            )
-        try:
-            report = analyze_block(
-                block,
-                tree=tree,
-                combo=combo,
-                min_clique_size=self.min_clique_size,
-            )
-        except Exception as exc:
-            raise ExecutorError(
-                f"block {block_id} failed again on in-parent retry: "
-                f"{type(exc).__name__}: {exc}",
-                block_id=block_id,
-            ) from exc
-        report.extra["retried"] = 1.0
         return report
 
 
@@ -2183,7 +2088,7 @@ class SimulatedExecutor:
     ) -> list[BlockReport]:
         """Return one :class:`BlockReport` per block, in block order."""
         reports = SerialExecutor().map_blocks(
-            blocks, tree=tree, combo=combo, run_log=run_log, level=level
+            blocks, tree=tree, combo=combo, graph=graph, run_log=run_log, level=level
         )
         self.last_run = simulate_level(
             blocks, reports, self.cluster, policy=self.policy

@@ -10,6 +10,7 @@ from repro.graph.cores import (
     degeneracy_ordering,
     k_core,
     peel_iterations,
+    peel_masks,
 )
 from repro.graph.datasets import DATASET_NAMES, DATASETS, load_all, load_dataset
 from repro.graph.generators import (
@@ -49,6 +50,7 @@ __all__ = [
     "degeneracy_csr",
     "degeneracy_ordering",
     "k_core",
+    "peel_masks",
     "peel_iterations",
     "DATASET_NAMES",
     "DATASETS",

@@ -11,6 +11,8 @@ quantities the rest of the library needs:
 * :func:`degeneracy` — the maximum core number (a.k.a. coreness);
 * :func:`degeneracy_ordering` — the peeling order used by the
   Eppstein–Strash MCE algorithm;
+* :func:`peel_masks` — the same peel over Python-int adjacency masks,
+  which is how every block analysis gets its features and anchor order;
 * :func:`k_core` — the node set of the ``k``-core, used by the convergence
   guard and by Theorem 1 experiments.
 """
@@ -175,6 +177,49 @@ def degeneracy_ordering(graph: Graph) -> list[Node]:
             if degree - 1 < current:
                 current = degree - 1
     return order
+
+
+def peel_masks(masks: list[int]) -> tuple[list[int], int]:
+    """Degeneracy order and degeneracy of a graph given as int masks.
+
+    ``masks[i]`` has bit ``j`` set iff ``i ~ j``.  Removes a minimum
+    residual degree node, smallest index first (the order of
+    :func:`repro.mce.bitmatrix.degeneracy_order_packed`); per-degree
+    bucket masks make that ``O(n + e)`` bit operations in total.
+    """
+    degrees = [mask.bit_count() for mask in masks]
+    buckets = [0] * (max(degrees, default=0) + 1)
+    for node, degree in enumerate(degrees):
+        buckets[degree] |= 1 << node
+    alive = (1 << len(masks)) - 1
+    order: list[int] = []
+    degeneracy_seen = 0
+    current = 0
+    for _ in range(len(masks)):
+        while not buckets[current]:
+            current += 1
+        bucket = buckets[current]
+        low = bucket & -bucket
+        buckets[current] = bucket ^ low
+        alive ^= low
+        node = low.bit_length() - 1
+        order.append(node)
+        if current > degeneracy_seen:
+            degeneracy_seen = current
+        neighbors = masks[node] & alive
+        while neighbors:
+            bit = neighbors & -neighbors
+            neighbors ^= bit
+            other = bit.bit_length() - 1
+            degree = degrees[other]
+            buckets[degree] ^= bit
+            buckets[degree - 1] |= bit
+            degrees[other] = degree - 1
+        if current:
+            # A removal lowers neighbours by one, so the next minimum is
+            # at least one below the current bucket.
+            current -= 1
+    return order, degeneracy_seen
 
 
 def k_core(graph: Graph, k: int) -> frozenset[Node]:

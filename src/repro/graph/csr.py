@@ -20,9 +20,11 @@ every attached process only maps the existing segments and calls
 :func:`extract_block_bitmap` turns a CSR slice (any member-id array over
 the snapshot) into the packed ``n × ceil(n/64)`` adjacency bitmap the
 ``bitmatrix`` kernel and the ``from_packed`` backend constructors
-consume — the per-block materialization step of the zero-copy worker
-path, with a :class:`BitmapScratch` cache so repeated blocks of the
-same size reuse one buffer instead of allocating per block.
+consume, and :func:`bitmap_masks` turns those rows into one Python-int
+adjacency mask per member — together the per-block materialization step
+of every analysis path, with a :class:`BitmapScratch` cache so repeated
+blocks of the same size reuse one buffer instead of allocating per
+block.
 """
 
 from __future__ import annotations
@@ -54,10 +56,14 @@ class BitmapScratch:
     backends built via ``from_packed`` either copy out of it (lists /
     bitsets / matrix) or are discarded before the next block
     (bitmatrix), so the reuse is safe by construction.
+
+    The scratch also keeps one level-sized position map (:meth:`positions`,
+    8 bytes per level node; not counted by :meth:`nbytes`).
     """
 
     def __init__(self) -> None:
         self._buffers: dict[int, np.ndarray] = {}
+        self._positions = np.empty(0, dtype=np.int64)
 
     def get(self, n: int) -> np.ndarray:
         """Return a zeroed ``n × ceil(n/64)`` bitmap buffer for reuse."""
@@ -70,9 +76,35 @@ class BitmapScratch:
             buffer[:] = 0
         return buffer
 
+    def positions(self, num_nodes: int) -> np.ndarray:
+        """A ``-1``-filled position map covering ``num_nodes`` level ids.
+
+        Callers reset the entries they set before returning, so one map
+        serves every block and level without clearing.
+        """
+        if len(self._positions) < num_nodes:
+            self._positions = np.full(num_nodes, -1, dtype=np.int64)
+        return self._positions
+
     def nbytes(self) -> int:
-        """Total bytes currently held across all cached buffers."""
+        """Total bytes currently held across the cached bitmap buffers."""
         return sum(int(buffer.nbytes) for buffer in self._buffers.values())
+
+
+def gather_rows(
+    indptr: np.ndarray, indices: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``ids`` in one flat gather: ``(neighbors, counts)``.
+
+    Row offsets come from ``indptr`` via ``repeat``/``cumsum``.
+    """
+    starts = indptr[ids]
+    counts = indptr[ids + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    flat = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        starts - offsets, counts
+    )
+    return indices[flat], counts
 
 
 def extract_block_bitmap(
@@ -86,37 +118,91 @@ def extract_block_bitmap(
     ``member_ids`` lists the block's members by their dense indices in
     the CSR snapshot; the result is an ``n × ceil(n/64)`` ``uint64``
     array where row ``i`` has bit ``j`` set iff members ``i`` and ``j``
-    (in ``member_ids`` order) are adjacent.  Each member's CSR row is
-    intersected with the member set via one vectorized ``searchsorted``
-    — no ``Graph``, no per-edge Python objects — so this is the direct
-    CSR → kernel-input path of the shared-memory executor.
+    (in ``member_ids`` order) are adjacent.  Every member row is fetched
+    by one flat gather (:func:`gather_rows`), a level-sized position map
+    turns the neighbour ids into member positions (``-1`` outside the
+    block), and each surviving bit is OR-ed into its row — no ``Graph``,
+    no per-member loop.
 
     With a ``scratch`` cache the bitmap is written into a reused buffer
-    (see :class:`BitmapScratch` for the lifetime contract); without one
-    a fresh array is allocated.
+    and the position map is borrowed from it (see :class:`BitmapScratch`
+    for the lifetime contract); without one both are allocated fresh.
     """
     member_ids = np.asarray(member_ids, dtype=np.int64)
     n = len(member_ids)
+    words = (n + 63) // 64
     bitmap = scratch.get(n) if scratch is not None else np.zeros(
-        (n, (n + 63) // 64), dtype=np.uint64
+        (n, words), dtype=np.uint64
     )
     if n == 0:
         return bitmap
-    order = np.argsort(member_ids, kind="stable")
-    sorted_ids = member_ids[order]
-    for i in range(n):
-        u = int(member_ids[i])
-        row = indices[indptr[u] : indptr[u + 1]]
-        if not len(row):
-            continue
-        positions = np.searchsorted(sorted_ids, row)
-        positions[positions == n] = 0  # out-of-range probes; masked below
-        hits = sorted_ids[positions] == row
-        local = order[positions[hits]]
-        np.bitwise_or.at(
-            bitmap[i], local >> 6, _ONE << (local.astype(np.uint64) & np.uint64(63))
-        )
+    local, counts = _member_neighbors(indptr, indices, member_ids, scratch)
+    inside = local >= 0
+    rows = np.repeat(np.arange(n, dtype=np.int64), counts)[inside]
+    cols = local[inside]
+    np.bitwise_or.at(
+        bitmap.reshape(-1),
+        rows * words + (cols >> 6),
+        _ONE << (cols.astype(np.uint64) & np.uint64(63)),
+    )
     return bitmap
+
+
+def induced_edge_count(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    member_ids: np.ndarray,
+    scratch: BitmapScratch | None = None,
+) -> int:
+    """Edges of the subgraph induced by ``member_ids`` (one flat gather)."""
+    member_ids = np.asarray(member_ids, dtype=np.int64)
+    if len(member_ids) == 0:
+        return 0
+    local, _ = _member_neighbors(indptr, indices, member_ids, scratch)
+    return int(np.count_nonzero(local >= 0)) // 2
+
+
+def _member_neighbors(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    member_ids: np.ndarray,
+    scratch: BitmapScratch | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The members' rows as member positions (``-1`` outside the block).
+
+    Returns the :func:`gather_rows` layout plus the row lengths.
+    """
+    neighbors, counts = gather_rows(indptr, indices, member_ids)
+    num_nodes = len(indptr) - 1
+    positions = (
+        scratch.positions(num_nodes)
+        if scratch is not None
+        else np.full(num_nodes, -1, dtype=np.int64)
+    )
+    positions[member_ids] = np.arange(len(member_ids), dtype=np.int64)
+    try:
+        return positions[neighbors], counts
+    finally:
+        positions[member_ids] = -1
+
+
+def bitmap_masks(bitmap: np.ndarray) -> list[int]:
+    """One Python-int adjacency mask per row of a packed bitmap.
+
+    Bit ``j`` of mask ``i`` is bit ``j`` of row ``i``.  Rows of one word
+    (blocks of at most 64 members) convert in a single ``tolist()``;
+    wider rows are read little-endian with ``int.from_bytes``.
+    """
+    n = bitmap.shape[0]
+    if n == 0:
+        return []
+    if bitmap.shape[1] == 1:
+        return bitmap[:, 0].tolist()
+    raw = np.ascontiguousarray(bitmap, dtype="<u8").tobytes()
+    step = len(raw) // n
+    return [
+        int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)
+    ]
 
 
 class CSRGraph:
@@ -290,17 +376,7 @@ def induced_csr(csr: CSRGraph, keep_ids: np.ndarray) -> CSRGraph:
             raise ValueError("keep_ids must be strictly increasing")
         if int(keep_ids[0]) < 0 or int(keep_ids[-1]) >= n:
             raise ValueError("keep_ids out of range for this snapshot")
-    indptr, indices = csr.indptr, csr.indices
-    counts = indptr[keep_ids + 1] - indptr[keep_ids]
-    total = int(counts.sum())
-    # Gather every neighbour entry of the kept rows in one flat array.
-    row_starts = np.cumsum(counts) - counts
-    flat = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(row_starts, counts)
-        + np.repeat(indptr[keep_ids], counts)
-    )
-    neighbors = indices[flat]
+    neighbors, counts = gather_rows(csr.indptr, csr.indices, keep_ids)
     keep_mask = np.zeros(n, dtype=bool)
     keep_mask[keep_ids] = True
     new_id = np.full(n, -1, dtype=np.int64)

@@ -22,7 +22,7 @@ original labels when cliques are reported.
 
 Besides construction from a :class:`~repro.graph.adjacency.Graph`, every
 backend can be materialized from a packed adjacency bitmap via
-:func:`backend_from_bitmap` — the zero-copy worker path that skips the
+:func:`backend_from_bitmap` — the block-analysis path that skips the
 ``Graph`` round-trip entirely (see :mod:`repro.graph.csr`).
 """
 
@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.errors import AlgorithmNotFoundError
 from repro.graph.adjacency import Graph, Node
+from repro.graph.csr import bitmap_masks
 
 # A backend-native node set; the concrete type depends on the backend.
 NodeSet = Any
@@ -64,9 +65,8 @@ class Backend(ABC):
         ``bitmap`` is an ``n × ceil(n/64)`` ``uint64`` array whose row
         ``i`` has bit ``j`` set iff nodes ``i`` and ``j`` are adjacent
         (see :func:`repro.graph.csr.extract_block_bitmap`).  This skips
-        the ``Graph`` constructor entirely, which is what lets
-        shared-memory workers build their per-block backend straight
-        from the attached CSR segment.
+        the ``Graph`` constructor entirely, which is what lets every
+        block analysis build its backend straight from the level CSR.
         """
         backend = cls.__new__(cls)
         backend._labels = list(labels)
@@ -173,9 +173,13 @@ class SetBackend(Backend):
         ]
 
     def _load_packed(self, bitmap: np.ndarray) -> None:
-        rows = _unpack_bitmap(bitmap, self.n)
+        # One unpack and one nonzero for the whole block: the per-row
+        # neighbour lists are slices of a single flat column list.
+        rows, cols = np.nonzero(_unpack_bitmap(bitmap, self.n))
+        cols = cols.tolist()
+        ends = np.cumsum(np.bincount(rows, minlength=self.n)).tolist()
         self._neighbors = [
-            frozenset(np.flatnonzero(rows[i]).tolist()) for i in range(self.n)
+            frozenset(cols[start:stop]) for start, stop in zip([0, *ends], ends)
         ]
 
     def empty(self) -> frozenset[int]:
@@ -236,10 +240,7 @@ class BitsetBackend(Backend):
         self._full = (1 << self.n) - 1 if self.n else 0
 
     def _load_packed(self, bitmap: np.ndarray) -> None:
-        words = np.ascontiguousarray(bitmap, dtype="<u8")
-        self._masks = [
-            int.from_bytes(words[i].tobytes(), "little") for i in range(self.n)
-        ]
+        self._masks = bitmap_masks(bitmap)
         self._full = (1 << self.n) - 1 if self.n else 0
 
     def empty(self) -> int:
@@ -400,9 +401,9 @@ def backend_from_bitmap(
 
     The bitmap-direct twin of :func:`build_backend`: ``labels`` supplies
     the internal-index → label translation and ``bitmap`` the adjacency
-    (row ``i``, bit ``j`` set iff ``i ~ j``).  Used by shared-memory
-    workers to materialize per-block backends from the attached CSR
-    segment without reconstructing a :class:`~repro.graph.adjacency.Graph`.
+    (row ``i``, bit ``j`` set iff ``i ~ j``).  Every block analysis
+    materializes its backend this way, without reconstructing a
+    :class:`~repro.graph.adjacency.Graph`.
 
     Raises
     ------

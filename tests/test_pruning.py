@@ -18,6 +18,7 @@ from differential import (
 from repro.cli import main
 from repro.core.driver import find_max_cliques
 from repro.distributed.executor import (
+    SerialExecutor,
     SharedMemoryExecutor,
     parallel_maximum_clique,
 )
@@ -73,6 +74,18 @@ class TestFloorParity:
             find_max_cliques(planted, 40, min_clique_size=-1)
 
 
+def assert_trace_matches_digest(graph, executor, floor: int = 9) -> None:
+    """The executor's trace holds one bound record per priced block."""
+    result = find_max_cliques(graph, 40, executor=executor, min_clique_size=floor)
+    trace = executor.last_trace
+    assert trace is not None
+    assert len(trace.bounds) == result.pruning["blocks_total"]
+    assert trace.skipped_block_count == result.pruning["blocks_skipped"]
+    for record in trace.bounds:
+        assert record.floor == floor
+        assert record.skipped == (record.bound < floor)
+
+
 class TestPruningDigest:
     def test_blocks_are_skipped_and_topk_is_identical(self, planted):
         m = 40
@@ -91,17 +104,15 @@ class TestPruningDigest:
         )
 
     def test_trace_counts_skipped_blocks(self, planted):
-        executor = SharedMemoryExecutor(max_workers=2)
-        floor = 9
-        result = find_max_cliques(
-            planted, 40, executor=executor, min_clique_size=floor
+        assert_trace_matches_digest(planted, SharedMemoryExecutor(max_workers=2))
+
+    @pytest.mark.parametrize("batch_blocks", [False, True], ids=["serial", "batch"])
+    def test_serial_trace_counts_skipped_blocks(self, planted, batch_blocks):
+        # The unbatched serial loop records a trace too, so the driver
+        # has somewhere to replay its block-bound records.
+        assert_trace_matches_digest(
+            planted, SerialExecutor(batch_blocks=batch_blocks)
         )
-        trace = executor.last_trace
-        assert trace is not None
-        assert trace.skipped_block_count == result.pruning["blocks_skipped"]
-        for record in trace.bounds:
-            assert record.floor == floor
-            assert record.skipped == (record.bound < floor)
 
     def test_unfloored_run_has_no_digest(self, planted):
         assert find_max_cliques(planted, 40).pruning is None
