@@ -155,8 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help=(
-            "estimated-cost threshold above which a block is split; "
-            "default: adaptive, from the batch's cost distribution"
+            "estimated-cost threshold above which a block is split "
+            "(requires --split); default: adaptive, from the batch's "
+            "cost distribution"
         ),
     )
     enumerate_.add_argument(
@@ -173,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "node-count cutoff below which blocks are batched; "
-            "default: adaptive, from the batch's size distribution"
+            "node-count cutoff below which blocks are batched "
+            "(requires --batch-blocks); default: adaptive, from the "
+            "batch's size distribution"
         ),
     )
     enumerate_.add_argument(
@@ -487,8 +489,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise ReproError("--no-retry requires --executor shared")
     if args.batch_blocks and args.executor == "process":
         raise ReproError("--batch-blocks requires --executor serial or shared")
-    if args.batch_cutoff is not None and not args.batch_blocks:
-        raise ReproError("--batch-cutoff requires --batch-blocks")
     if args.resume and not args.spill_dir:
         raise ReproError("--resume requires --spill-dir")
     executor = (

@@ -19,7 +19,6 @@ from repro.core.cliquestore import (
     CliqueBuffer,
     CliqueStore,
     GlobalCliqueIndex,
-    packed_plane_enabled,
     store_of,
 )
 from repro.core.driver import decompose_only, decompose_only_csr, find_max_cliques
@@ -56,7 +55,6 @@ __all__ = [
     "CliqueBuffer",
     "CliqueStore",
     "GlobalCliqueIndex",
-    "packed_plane_enabled",
     "store_of",
     "filter_contained",
     "merge_level",

@@ -2,8 +2,8 @@
 
 :func:`audit_result` checks a :class:`CliqueResult` against its input
 graph from first principles: every reported set is a maximal clique, no
-duplicates, the per-clique provenance tags are consistent with the
-level-0 feasible/hub split, and (optionally, expensive) the output is
+duplicates, each clique's provenance tag is the recursion level that
+must have produced it, and (optionally, expensive) the output is
 *complete* — every maximal clique of the graph is present, established
 with an independent in-library enumeration.
 
@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 from repro.core.feasibility import cut
 from repro.core.result import CliqueResult
-from repro.graph.adjacency import Graph
+from repro.graph.adjacency import Graph, Node
+from repro.graph.views import induced_subgraph
 from repro.mce.tomita import tomita
 from repro.mce.verify import find_extension
 
@@ -95,22 +96,52 @@ def audit_result(
 def _check_provenance(
     graph: Graph, result: CliqueResult, report: AuditReport
 ) -> None:
-    """Provenance tags must match the level-0 feasible/hub split."""
+    """Each provenance tag must be the level that produced the clique.
+
+    A clique is found at the first recursion level at which one of its
+    members is feasible: every member is a hub, and so still present, at
+    all shallower levels.  A clique with no member ever feasible comes
+    from the exact fallback on the residual core.
+    """
     if set(result.provenance) != set(result.cliques):
         report.problems.append("provenance keys do not match the clique list")
         return
-    feasible, _hubs = cut(graph, result.m)
-    feasible_set = set(feasible)
+    feasible_at = _feasible_levels(graph, result.m)
     for clique, level in result.provenance.items():
-        if level == 0:
-            if feasible_set and not (clique & feasible_set):
-                report.problems.append(
-                    f"level-0 clique without feasible node: {_show(clique)}"
-                )
-        elif clique & feasible_set:
-            report.problems.append(
-                f"level-{level} clique contains a feasible node: {_show(clique)}"
-            )
+        expected = min(
+            (feasible_at[node] for node in clique if node in feasible_at),
+            default=None,
+        )
+        if expected is None or level == expected:
+            continue
+        if level > expected:
+            problem = f"contains a feasible node of level {expected}"
+        else:
+            problem = f"without feasible node (first at level {expected})"
+        report.problems.append(f"level-{level} clique {problem}: {_show(clique)}")
+
+
+def _feasible_levels(graph: Graph, m: int) -> dict[Node, int]:
+    """The recursion level at which each node is feasible.
+
+    Walks the reference ``cut`` / ``induced_subgraph`` recursion.  Nodes
+    of a residual core that never becomes feasible get the level of the
+    exact fallback.
+    """
+    levels: dict[Node, int] = {}
+    current = graph
+    level = 0
+    while current.num_nodes > 0:
+        feasible, hubs = cut(current, m)
+        if not feasible:
+            levels.update(dict.fromkeys(current.nodes(), level))
+            break
+        levels.update(dict.fromkeys(feasible, level))
+        if not hubs:
+            break
+        current = induced_subgraph(current, hubs)
+        level += 1
+    return levels
 
 
 def _show(clique: frozenset) -> str:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.blocks import Block
-from repro.core.cliquestore import CliqueStore, make_emitter
+from repro.core.cliquestore import CliqueBuffer, CliqueStore
 from repro.decision.features import (
     BlockFeatures,
     estimate_analysis_cost,
@@ -79,15 +79,14 @@ class BlockReport:
     """Outcome of analysing one block.
 
     ``cliques`` is a packed :class:`~repro.core.cliquestore.CliqueStore`
-    on the default result plane (vertex ids into the store's own
-    member-label table, so pickling across IPC ships raw array buffers
-    plus one small label list) — or the legacy ``list[frozenset]`` when
-    the frozenset plane is selected or the report was hand-built.  Both
-    forms iterate as frozensets and support ``len``, which is the only
-    surface downstream consumers rely on.
+    (vertex ids into the store's own member-label table, so pickling
+    across IPC ships raw array buffers plus one small label list).  A
+    report replayed from a legacy pickled spill record carries the
+    ``list[frozenset]`` it was written with; the driver packs it with
+    :meth:`~repro.core.cliquestore.GlobalCliqueIndex.add`.
     """
 
-    cliques: "CliqueStore | list[frozenset[Node]]"
+    cliques: CliqueStore
     combo: Combo
     features: BlockFeatures
     seconds: float
@@ -208,16 +207,16 @@ def block_clique_bound_csr(
 def _emit_anchored(
     emitter, backend: Backend, anchor, candidates, excluded, pivot_rule
 ) -> None:
-    """The single emission seam: one anchored sweep into one emitter.
+    """The single emission seam: one anchored sweep into one buffer.
 
     Every analysis path (:func:`_sweep` — and, through
     :meth:`~repro.core.cliquestore.CliqueBuffer.extend_prefixed`, the
-    bucket demux) funnels its cliques through here, so the output
-    representation is decided in exactly one place.  The packed-bitmap
+    bucket demux) funnels its cliques into a
+    :class:`~repro.core.cliquestore.CliqueBuffer`.  The packed-bitmap
     backend emits array-natively — the batched kernel's spine columns
     land straight in the packed buffers, no per-clique tuple or
     frozenset — while other backends' tuple streams are bulk-flattened
-    by the emitter.  Emission order matches the legacy frozenset loops
+    by the buffer.  Emission order matches the legacy frozenset loops
     exactly.
     """
     if isinstance(backend, BitMatrixBackend):
@@ -717,7 +716,7 @@ def analyze_bucket_csr(
     cursor = 0
     for b, descriptor in enumerate(descriptors):
         member_labels = [labels[i] for i in member_ids_of[b].tolist()]
-        emitter = make_emitter(member_labels)
+        emitter = CliqueBuffer(labels=member_labels)
         for j, anchor in enumerate(anchors_of[b].tolist()):
             emitter.extend_prefixed(anchor, extensions[cursor + j])
         cursor += len(anchors_of[b])
@@ -966,7 +965,7 @@ def analyze_block_csr_splittable(
     num_candidates = num_kernel + len(descriptor.border_ids)
     kernel_order = block.kernel_order(num_kernel)
     splittable = len(kernel_order) >= 2
-    emitter = make_emitter(block.member_labels)
+    emitter = CliqueBuffer(labels=block.member_labels)
 
     def report(anchors_skipped: int) -> BlockReport:
         return BlockReport(
@@ -1041,7 +1040,7 @@ def analyze_subtask_csr(
     processed = subtask.kernel_order[: subtask.start].tolist()
     processed_set = set(processed)
     backend = block.backend
-    emitter = make_emitter(block.member_labels)
+    emitter = CliqueBuffer(labels=block.member_labels)
     _, anchors_skipped = _sweep(
         block,
         subtask.kernel_order[subtask.start : subtask.stop].tolist(),
@@ -1097,15 +1096,7 @@ def merge_fragment_reports(
             f"{total_positions} anchor positions"
         )
     first = ordered[0][2]
-    packed = all(isinstance(report.cliques, CliqueStore) for _, _, report in ordered)
-    if packed:
-        cliques: "CliqueStore | list[frozenset[Node]]" = CliqueStore.concat(
-            [report.cliques for _, _, report in ordered]
-        )
-    else:
-        cliques = [
-            clique for _, _, report in ordered for clique in report.cliques
-        ]
+    cliques = CliqueStore.concat([report.cliques for _, _, report in ordered])
     seconds = 0.0
     extra: dict[str, float] = {}
     for _, _, report in ordered:

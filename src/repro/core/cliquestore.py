@@ -30,31 +30,20 @@ Stores are append-only by construction and never mutated after
 write into (amortized-doubling flat arrays, no per-clique Python
 object), and :class:`GlobalCliqueIndex` unifies per-block label spaces
 into one run-wide id space with a single vectorized gather per block.
-
-Set ``REPRO_RESULT_PLANE=frozenset`` to route emission through the
-legacy frozenset lists instead — the differential parity tests and the
-result-plane benchmark use this to pin the two planes against each
-other (see ``docs/resultplane.md``).
+Cliques take no other form between the kernel's emit and the Lemma-1
+merge (see ``docs/resultplane.md``).
 """
 
 from __future__ import annotations
 
-import os
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-RESULT_PLANE_ENV = "REPRO_RESULT_PLANE"
-
 _OFFSET_DTYPE = np.uint64
 _VERTEX_DTYPE = np.uint32
 _LEVEL_DTYPE = np.int32
-
-
-def packed_plane_enabled() -> bool:
-    """Whether emission goes to packed buffers (default) or frozensets."""
-    return os.environ.get(RESULT_PLANE_ENV, "packed") != "frozenset"
 
 
 class CliqueStore:
@@ -106,32 +95,6 @@ class CliqueStore:
             np.empty(0, dtype=_VERTEX_DTYPE),
             labels=labels,
         )
-
-    @classmethod
-    def from_cliques(
-        cls,
-        cliques: Iterable[Iterable],
-        index_of: "dict | None" = None,
-        labels: Sequence | None = None,
-        levels: np.ndarray | None = None,
-    ) -> "CliqueStore":
-        """Pack an iterable of cliques (sets of labels or of int ids).
-
-        With ``index_of`` the members are mapped through it (label →
-        id); otherwise they must already be non-negative ints.  The
-        legacy-conversion path for reports built outside the packed
-        emitters (the exact-enumeration fallback, hand-built tests).
-        """
-        buffer = CliqueBuffer(labels=labels)
-        if index_of is None:
-            buffer.extend(cliques)
-        else:
-            for clique in cliques:
-                buffer.append(index_of[node] for node in clique)
-        store = buffer.build()
-        if levels is not None:
-            store.levels = np.asarray(levels, dtype=_LEVEL_DTYPE)
-        return store
 
     @classmethod
     def concat(cls, stores: "Sequence[CliqueStore]") -> "CliqueStore":
@@ -474,70 +437,12 @@ class CliqueBuffer:
         )
 
 
-class FrozensetEmitter:
-    """The legacy emission plane behind the same seam.
-
-    Selected with ``REPRO_RESULT_PLANE=frozenset``; produces exactly the
-    ``list[frozenset]`` the pre-packed code built, so the differential
-    parity tests and the result-plane benchmark can compare the two
-    planes like for like.
-    """
-
-    __slots__ = ("labels", "cliques")
-
-    def __init__(self, labels: Sequence) -> None:
-        self.labels = labels
-        self.cliques: list[frozenset] = []
-
-    def append(self, members: Iterable[int]) -> None:
-        labels = self.labels
-        self.cliques.append(frozenset(labels[i] for i in members))
-
-    def extend(self, cliques: Iterable[Iterable[int]]) -> None:
-        labels = self.labels
-        self.cliques.extend(
-            frozenset(labels[i] for i in clique) for clique in cliques
-        )
-
-    def extend_prefixed(
-        self, prefix_id: int, extensions: "Sequence[tuple[int, ...]]"
-    ) -> None:
-        labels = self.labels
-        self.cliques.extend(
-            frozenset(labels[i] for i in (prefix_id, *extension))
-            for extension in extensions
-        )
-
-    def append_columns(self, prefix, columns) -> None:
-        self.extend(
-            prefix + row for row in zip(*[column.tolist() for column in columns])
-        )
-
-    def __len__(self) -> int:
-        return len(self.cliques)
-
-    def build(self) -> "list[frozenset]":
-        return self.cliques
-
-
-def make_emitter(labels: Sequence) -> "CliqueBuffer | FrozensetEmitter":
-    """The single emission seam: one emitter per analysed block.
-
-    Every analysis path builds its emitter here, so switching planes
-    (packed arrays vs legacy frozensets) is one environment variable —
-    read per block, which is what lets forked workers inherit it.
-    """
-    if packed_plane_enabled():
-        return CliqueBuffer(labels=labels)
-    return FrozensetEmitter(labels)
-
-
 def store_of(cliques) -> CliqueStore:
     """Normalize a report's ``cliques`` field to a :class:`CliqueStore`.
 
-    Stores pass through; legacy frozenset lists (hand-built reports,
-    the frozenset plane, replays of legacy spill segments) are packed
-    with a local label table in first-appearance order.
+    Stores pass through; frozenset lists (hand-built reports, the
+    exact-core fallback, replays of legacy pickled spill records) are
+    packed with a local label table in first-appearance order.
     """
     if isinstance(cliques, CliqueStore):
         return cliques

@@ -34,13 +34,9 @@ from repro.core.block_analysis import (  # noqa: F401
     block_clique_bound_csr,
 )
 from repro.core.blocks import blocks_csr, build_blocks
-from repro.core.cliquestore import (
-    CliqueStore,
-    GlobalCliqueIndex,
-    packed_plane_enabled,
-)
+from repro.core.cliquestore import CliqueStore, GlobalCliqueIndex
 from repro.core.feasibility import cut, cut_csr
-from repro.core.filtering import contained_mask, filter_contained, filter_min_size
+from repro.core.filtering import contained_mask, filter_min_size
 from repro.core.result import CliqueResult, LevelStats
 from repro.decision.features import BlockFeatures
 from repro.decision.paper_tree import paper_tree, select_combo
@@ -132,8 +128,8 @@ def find_max_cliques(
         subtasks.  Requires a shared-memory executor (barrier or
         pipeline mode); the clique output is identical either way.
     split_threshold:
-        Override the adaptive split threshold with a fixed cost value
-        (only meaningful with ``split=True``).
+        Override the adaptive split threshold with a fixed cost value;
+        requires ``split=True``.
     batch_blocks:
         Enable multi-block batched dispatch (see ``docs/batching.md``):
         small same-padded-shape blocks are packed into buckets and each
@@ -146,7 +142,7 @@ def find_max_cliques(
         output is identical either way.
     batch_cutoff:
         Override the adaptive node-count cutoff below which blocks are
-        batched (only meaningful with ``batch_blocks=True``).
+        batched; requires ``batch_blocks=True``.
     min_clique_size:
         Enumeration floor (see ``docs/maximum.md``): only maximal
         cliques with at least this many members are returned.  Beyond
@@ -183,7 +179,10 @@ def find_max_cliques(
     Raises
     ------
     ValueError
-        On a non-positive ``m`` or unknown ``fallback`` mode.
+        On a non-positive ``m``, an unknown ``fallback`` mode, or a
+        setting that would be ignored (``split_threshold`` without
+        ``split``, ``batch_cutoff`` without ``batch_blocks``, ``resume``
+        without ``spill_dir``).
     ConvergenceError
         With ``fallback="raise"`` when ``m`` is at most the degeneracy of
         the residual graph at some level.
@@ -196,6 +195,10 @@ def find_max_cliques(
         )
     if resume and spill_dir is None:
         raise ValueError("resume=True requires spill_dir")
+    if split_threshold is not None and not split:
+        raise ValueError("split_threshold requires split=True")
+    if batch_cutoff is not None and not batch_blocks:
+        raise ValueError("batch_cutoff requires batch_blocks=True")
     if min_clique_size < 0:
         raise ValueError("min_clique_size must be non-negative")
     resolved_tree = resolve_tree(tree)
@@ -283,7 +286,7 @@ def _barrier_enumerate(
         from repro.distributed.executor import SerialExecutor
 
         executor = _configure_prune(SerialExecutor(), min_clique_size)
-    level_cliques: "list[CliqueStore | list[frozenset[Node]]]" = []
+    level_cliques: list[CliqueStore] = []
     clique_index = GlobalCliqueIndex()
     level_stats: list[LevelStats] = []
     level_reports: list[list] = []
@@ -319,13 +322,7 @@ def _barrier_enumerate(
             cliques, analysis_seconds, used = _exact_core(
                 current, selection_tree, combo
             )
-            cliques = filter_min_size(cliques, min_clique_size)
-            if packed_plane_enabled() and (
-                not level_cliques or _packed_levels(level_cliques)
-            ):
-                # Keep the whole run on one plane: pack the exact-core
-                # fallback into the run-wide id space too.
-                cliques = clique_index.add(cliques)
+            cliques = filter_min_size(clique_index.add(cliques), min_clique_size)
             combo_counter[used.name] += 1
             level_cliques.append(cliques)
             level_stats.append(
@@ -410,7 +407,7 @@ def _barrier_enumerate(
         current = induced_subgraph(current, hubs)
         level += 1
 
-    payload = _result_payload(level_cliques)
+    store = _lemma1_merge(level_cliques)
     # The executor's trace is reset on every map_blocks call, so the
     # per-level bound records are replayed into the *final* trace here —
     # after the loop — where they describe the whole run.
@@ -423,7 +420,7 @@ def _barrier_enumerate(
         run_log.finalize()
         run_info = _run_info(run_log)
     return CliqueResult(
-        **payload,
+        store=store,
         levels=level_stats,
         m=m,
         fallback_used=fallback_used,
@@ -731,7 +728,7 @@ def _pipeline_enumerate(
     finally:
         session.close()
 
-    level_cliques: "list[CliqueStore | list[frozenset[Node]]]" = []
+    level_cliques: list[CliqueStore] = []
     level_stats: list[LevelStats] = []
     level_reports: list[list] = []
     combo_counter: Counter[str] = Counter()
@@ -764,11 +761,7 @@ def _pipeline_enumerate(
     if fallback_level is not None:
         level, nodes, edges, dec_seconds, ana_seconds, cliques, used = fallback_level
         combo_counter[used.name] += 1
-        cliques = filter_min_size(cliques, min_clique_size)
-        if packed_plane_enabled() and (
-            not level_cliques or _packed_levels(level_cliques)
-        ):
-            cliques = clique_index.add(cliques)
+        cliques = filter_min_size(clique_index.add(cliques), min_clique_size)
         level_cliques.append(cliques)
         level_stats.append(
             LevelStats(
@@ -785,13 +778,13 @@ def _pipeline_enumerate(
             )
         )
 
-    payload = _result_payload(level_cliques)
+    store = _lemma1_merge(level_cliques)
     run_info = None
     if run_log is not None:
         run_log.finalize()
         run_info = _run_info(run_log)
     return CliqueResult(
-        **payload,
+        store=store,
         levels=level_stats,
         m=m,
         fallback_used=fallback_used,
@@ -890,51 +883,32 @@ def _exact_core(
 
 def _level_cliques_of(
     reports: list, clique_index: GlobalCliqueIndex
-) -> "CliqueStore | list[frozenset[Node]]":
+) -> CliqueStore:
     """Assemble one level's cliques from its block reports.
 
-    Packed reports (the default plane) are remapped into the run-wide
-    vertex-id space — one small Python loop over each block's member
-    labels plus one vectorized gather — and concatenated as raw buffers;
-    no clique is decoded.  Legacy frozenset reports (the
-    ``REPRO_RESULT_PLANE=frozenset`` baseline arm, or replays of
-    legacy-format spill segments) keep the list plane end to end.
+    Each report is remapped into the run-wide vertex-id space — one
+    small Python loop over the block's member labels plus one vectorized
+    gather — and the stores are concatenated as raw buffers; no clique
+    is decoded.  A report replayed from a legacy pickled spill record
+    carries a frozenset list, which :meth:`GlobalCliqueIndex.add` packs.
     """
-    if reports and all(
-        isinstance(report.cliques, CliqueStore) for report in reports
-    ):
-        merged = CliqueStore.concat(
-            [clique_index.add(report.cliques) for report in reports]
-        )
-        if merged.labels is None:
-            merged = merged.with_labels(clique_index.labels)
-        return merged
-    return [clique for report in reports for clique in report.cliques]
-
-
-def _packed_levels(level_cliques: list) -> bool:
-    """Whether every per-level payload is a packed :class:`CliqueStore`."""
-    return bool(level_cliques) and all(
-        isinstance(cliques, CliqueStore) for cliques in level_cliques
+    merged = CliqueStore.concat(
+        [clique_index.add(report.cliques) for report in reports]
     )
+    if merged.labels is None:
+        merged = merged.with_labels(clique_index.labels)
+    return merged
 
 
-def _result_payload(level_cliques: list) -> dict:
-    """Merged-clique kwargs for :class:`CliqueResult` — packed or legacy."""
-    if _packed_levels(level_cliques):
-        return {"store": _merge_levels_packed(level_cliques)}
-    merged, provenance = _merge_levels(level_cliques)
-    return {"cliques": merged, "provenance": provenance}
+def _lemma1_merge(level_stores: list[CliqueStore]) -> CliqueStore:
+    """Merge per-level cliques bottom-up with the Lemma 1 filter.
 
-
-def _merge_levels_packed(level_stores: "list[CliqueStore]") -> CliqueStore:
-    """Packed twin of :func:`_merge_levels`.
-
-    Same bottom-up Lemma-1 sweep, but containment runs in int space
+    Deeper levels are filtered against shallower ones, so a hub-only
+    clique survives only when no feasible-side clique contains it.
+    Containment runs in int space
     (:func:`~repro.core.filtering.contained_mask`) and the provenance is
-    the merged store's per-clique ``levels`` array instead of a
-    ``dict[frozenset, int]``.  All stores share the driver's run-wide id
-    space, so survivors concatenate as raw buffers.
+    the merged store's per-clique ``levels`` array.  All stores share the
+    driver's run-wide id space, so survivors concatenate as raw buffers.
     """
     merged = CliqueStore.empty()
     labels = next(
@@ -953,25 +927,3 @@ def _merge_levels_packed(level_stores: "list[CliqueStore]") -> CliqueStore:
     if merged.levels is None:
         merged.levels = np.zeros(len(merged), dtype=np.int32)
     return merged
-
-
-def _merge_levels(
-    level_cliques: list[list[frozenset[Node]]],
-) -> tuple[list[frozenset[Node]], dict[frozenset[Node], int]]:
-    """Merge per-level clique sets bottom-up with the Lemma 1 filter.
-
-    Returns the final clique list and the provenance map (clique → level
-    at which it was found).  Deeper levels are filtered against shallower
-    ones, so a hub-only clique survives only when no feasible-side clique
-    contains it.
-    """
-    merged: list[frozenset[Node]] = []
-    provenance: dict[frozenset[Node], int] = {}
-    for level in range(len(level_cliques) - 1, -1, -1):
-        feasible_side = level_cliques[level]
-        for clique in feasible_side:
-            provenance[clique] = level
-        surviving = filter_contained(merged, feasible_side)
-        merged = list(feasible_side) + surviving
-    provenance = {clique: provenance[clique] for clique in merged}
-    return merged, provenance

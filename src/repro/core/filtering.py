@@ -73,7 +73,7 @@ def _is_contained(
     return True
 
 
-def filter_min_size(cliques, min_clique_size: int):
+def filter_min_size(cliques: CliqueStore, min_clique_size: int) -> CliqueStore:
     """Return the cliques with at least ``min_clique_size`` members.
 
     The enumeration floor behind ``find_max_cliques(min_clique_size=f)``.
@@ -84,17 +84,11 @@ def filter_min_size(cliques, min_clique_size: int):
     and a clique lost from a bound-skipped block is itself < f, so any
     hub clique it contains is < f and is dropped here anyway.
 
-    Accepts either the legacy ``list[frozenset]`` (returns a list) or a
-    packed :class:`CliqueStore` (returns a store — one vectorized mask
-    on the offsets diff, no decode).
+    One vectorized mask on the store's offsets diff; nothing is decoded.
     """
-    if isinstance(cliques, CliqueStore):
-        if min_clique_size <= 1:
-            return cliques
-        return cliques.select(cliques.sizes >= min_clique_size)
     if min_clique_size <= 1:
-        return list(cliques)
-    return [clique for clique in cliques if len(clique) >= min_clique_size]
+        return cliques
+    return cliques.select(cliques.sizes >= min_clique_size)
 
 
 def contained_mask(
@@ -159,26 +153,14 @@ def contained_mask(
     return contained
 
 
-def merge_level_packed(
-    feasible: CliqueStore, hub: CliqueStore
-) -> CliqueStore:
-    """Packed twin of :func:`merge_level`: ``Cf ∪ filter(Ch, Cf)``.
-
-    Feasible cliques first, surviving hub cliques after, both in their
-    original emission order — the order the legacy list merge produced.
-    """
-    surviving = hub.select(~contained_mask(hub, feasible))
-    return CliqueStore.concat([feasible, surviving])
-
-
 def merge_level(
     feasible_cliques: list[frozenset[Node]],
     hub_cliques: list[frozenset[Node]],
 ) -> list[frozenset[Node]]:
     """Combine one recursion level per Algorithm 1 line 7–8.
 
-    Returns ``Cf ∪ filter(Ch, Cf)`` with the feasible cliques first (the
-    driver relies on this order to preserve provenance tagging).
+    Returns ``Cf ∪ filter(Ch, Cf)`` with the feasible cliques first, the
+    order the driver's packed merge keeps.
     """
     surviving = filter_contained(hub_cliques, feasible_cliques)
     return list(feasible_cliques) + surviving

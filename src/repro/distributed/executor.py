@@ -2068,13 +2068,15 @@ def build_executor(
 class SimulatedExecutor:
     """Serial execution instrumented with a simulated cluster schedule.
 
-    After ``map_blocks`` the :attr:`last_run` attribute holds the
-    :class:`SimulatedRun` for the most recent batch: the makespan the
-    same work would have on :attr:`cluster` under :attr:`policy`.
+    Every ``map_blocks`` call appends one :class:`SimulatedRun` to
+    :attr:`runs` — the makespan the same work would have on
+    :attr:`cluster` under :attr:`policy` — and :attr:`last_run` holds
+    the most recent one.
     """
 
     cluster: ClusterSpec
     policy: str = "lpt"
+    runs: list[SimulatedRun] = field(default_factory=list, init=False)
     last_run: SimulatedRun | None = field(default=None, init=False)
 
     def map_blocks(
@@ -2093,4 +2095,5 @@ class SimulatedExecutor:
         self.last_run = simulate_level(
             blocks, reports, self.cluster, policy=self.policy
         )
+        self.runs.append(self.last_run)
         return reports

@@ -28,7 +28,6 @@ from typing import Literal
 
 from repro.core.block_analysis import analyze_block
 from repro.core.blocks import Block
-from repro.core.cliquestore import CliqueStore
 from repro.decision.tree import DecisionTree
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.simulation import block_bytes
@@ -129,11 +128,7 @@ def run_protocol_level(
         report = analyze_block(block, tree=tree, combo=combo)
         finished = assign_arrives + report.seconds
 
-        result_bytes = _BYTES_PER_MEMBER * (
-            len(report.cliques.vertices)
-            if isinstance(report.cliques, CliqueStore)
-            else sum(len(clique) for clique in report.cliques)
-        )
+        result_bytes = _BYTES_PER_MEMBER * len(report.cliques.vertices)
         result_arrives = finished + cluster.transfer_seconds(result_bytes)
         trace.messages.append(
             Message(

@@ -1,31 +1,24 @@
 """End-to-end distributed ``FIND-MAX-CLIQUES``.
 
-:func:`run_distributed` performs the same recursion as
-:func:`repro.core.driver.find_max_cliques` but dispatches each level's
-blocks through an executor (serial, process pool, or cluster-simulating)
-and aggregates the per-level :class:`SimulatedRun` records, so the
+:func:`run_distributed` is :func:`repro.core.driver.find_max_cliques`
+with the blocks of every level dispatched through one executor —
+by default a :class:`SimulatedExecutor`, which analyses the blocks
+serially and replays their measured costs onto a simulated cluster.
+The driver runs the recursion and the Lemma-1 merge; this module only
+collects the executor's per-level :class:`SimulatedRun` records, so the
 benchmarks can report both the exact clique output and the simulated
 cluster wall-clock for the paper's Section 6 experiments.
 """
 
 from __future__ import annotations
 
-import time
-import warnings
-from collections import Counter
-
-from repro.core.blocks import build_blocks
-from repro.core.driver import _exact_core, _merge_levels
-from repro.core.feasibility import cut
-from repro.core.result import CliqueResult, LevelStats
-from repro.decision.paper_tree import paper_tree
+from repro.core.driver import find_max_cliques
+from repro.core.result import CliqueResult
 from repro.decision.tree import DecisionTree
-from repro.distributed.cluster import ClusterSpec
-from repro.distributed.executor import SerialExecutor, SimulatedExecutor
+from repro.distributed.cluster import ClusterSpec, paper_cluster
+from repro.distributed.executor import SimulatedExecutor
 from repro.distributed.simulation import SimulatedRun
-from repro.errors import ConvergenceError
-from repro.graph.adjacency import Graph, Node
-from repro.graph.views import induced_subgraph
+from repro.graph.adjacency import Graph
 from repro.mce.registry import Combo
 
 
@@ -34,8 +27,7 @@ class DistributedResult(CliqueResult):
 
     def __init__(self, base: CliqueResult, runs: list[SimulatedRun]) -> None:
         super().__init__(
-            cliques=base.cliques,
-            provenance=base.provenance,
+            store=base.store,
             levels=base.levels,
             m=base.m,
             fallback_used=base.fallback_used,
@@ -61,7 +53,7 @@ def run_distributed(
     graph: Graph,
     m: int,
     cluster: ClusterSpec | None = None,
-    executor: SerialExecutor | SimulatedExecutor | None = None,
+    executor=None,
     tree: DecisionTree | None = None,
     combo: Combo | None = None,
     fallback: str = "exact",
@@ -71,116 +63,43 @@ def run_distributed(
     """Run the two-level decomposition with distributed block analysis.
 
     Either pass a ``cluster`` (a :class:`SimulatedExecutor` is built for
-    it) or an explicit ``executor``.  With neither, the paper's
-    10-machine testbed is simulated.  All other arguments match
-    :func:`repro.core.driver.find_max_cliques`, and the clique output is
-    identical to the serial driver's (tested property).
+    it, scheduling under ``policy``) or an explicit ``executor`` (any
+    object with the executors' ``map_blocks`` interface).  With neither,
+    the paper's 10-machine testbed is simulated.  All other arguments
+    match :func:`repro.core.driver.find_max_cliques`, which performs the
+    run, so the clique output is the driver's.  ``runs`` holds one
+    :class:`SimulatedRun` per analysed level when the executor is a
+    :class:`SimulatedExecutor`, and is empty otherwise.
 
     Raises
     ------
+    ValueError
+        On a non-positive ``m``, or when both ``cluster`` and
+        ``executor`` are given (the cluster would be ignored).
     ConvergenceError
         With ``fallback="raise"`` when ``m`` does not exceed the
         degeneracy of some residual level.
     """
-    if m < 1:
-        raise ValueError("block size m must be at least 1")
+    if cluster is not None and executor is not None:
+        raise ValueError(
+            "pass either cluster= or executor=, not both: the cluster only "
+            "configures the SimulatedExecutor built when no executor is given"
+        )
     if executor is None:
-        from repro.distributed.cluster import paper_cluster
-
         executor = SimulatedExecutor(
             cluster=cluster if cluster is not None else paper_cluster(),
             policy=policy,
         )
-    selection_tree = tree if tree is not None else paper_tree()
-
-    level_cliques: list[list[frozenset[Node]]] = []
-    level_stats: list[LevelStats] = []
-    runs: list[SimulatedRun] = []
-    combo_counter: Counter[str] = Counter()
-    fallback_used = False
-
-    current = graph
-    level = 0
-    while current.num_nodes > 0:
-        decomposition_start = time.perf_counter()
-        feasible, hubs = cut(current, m)
-        if not feasible:
-            if fallback == "raise":
-                raise ConvergenceError(
-                    f"no feasible node at recursion level {level}",
-                    core_size=current.num_nodes,
-                )
-            warnings.warn(
-                f"distributed FIND-MAX-CLIQUES fell back to exact "
-                f"enumeration on a residual core of {current.num_nodes} "
-                f"nodes at level {level} (m={m})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            decomposition_seconds = time.perf_counter() - decomposition_start
-            cliques, analysis_seconds, used = _exact_core(
-                current, selection_tree, combo
-            )
-            combo_counter[used.name] += 1
-            level_cliques.append(cliques)
-            level_stats.append(
-                LevelStats(
-                    level=level,
-                    num_nodes=current.num_nodes,
-                    num_edges=current.num_edges,
-                    num_feasible=0,
-                    num_hubs=current.num_nodes,
-                    num_blocks=0,
-                    decomposition_seconds=decomposition_seconds,
-                    analysis_seconds=analysis_seconds,
-                    cliques_found=len(cliques),
-                    fallback_used=True,
-                )
-            )
-            fallback_used = True
-            break
-
-        blocks = build_blocks(current, feasible, m, min_adjacency=min_adjacency)
-        decomposition_seconds = time.perf_counter() - decomposition_start
-
-        analysis_start = time.perf_counter()
-        reports = executor.map_blocks(
-            blocks, tree=selection_tree, combo=combo, graph=current
-        )
-        analysis_seconds = time.perf_counter() - analysis_start
-        if isinstance(executor, SimulatedExecutor) and executor.last_run:
-            runs.append(executor.last_run)
-
-        cliques: list[frozenset[Node]] = []
-        for report in reports:
-            cliques.extend(report.cliques)
-            combo_counter[report.combo.name] += 1
-        level_cliques.append(cliques)
-        level_stats.append(
-            LevelStats(
-                level=level,
-                num_nodes=current.num_nodes,
-                num_edges=current.num_edges,
-                num_feasible=len(feasible),
-                num_hubs=len(hubs),
-                num_blocks=len(blocks),
-                decomposition_seconds=decomposition_seconds,
-                analysis_seconds=analysis_seconds,
-                cliques_found=len(cliques),
-            )
-        )
-        if not hubs:
-            break
-        current = induced_subgraph(current, hubs)
-        level += 1
-
-    merged, provenance = _merge_levels(level_cliques)
-    base = CliqueResult(
-        cliques=merged,
-        provenance=provenance,
-        levels=level_stats,
-        m=m,
-        fallback_used=fallback_used,
-        block_combos=dict(combo_counter),
+    simulated = isinstance(executor, SimulatedExecutor)
+    first_run = len(executor.runs) if simulated else 0
+    result = find_max_cliques(
+        graph,
+        m,
+        tree=tree,
+        combo=combo,
+        fallback=fallback,
+        min_adjacency=min_adjacency,
+        executor=executor,
     )
-    return DistributedResult(base, runs)
+    runs = executor.runs[first_run:] if simulated else []
+    return DistributedResult(result, runs)

@@ -24,11 +24,10 @@ Two readers with different trust models:
 
 The payload is opaque bytes at this layer; :func:`encode_block_record`
 / :func:`decode_block_record` define the payload shapes the run log
-uses.  Since the packed result plane there are two:
+uses.  Two shapes are read:
 
-* **packed block records** (written for reports whose ``cliques`` is a
-  :class:`~repro.core.cliquestore.CliqueStore`): a ``RPCK`` magic, a
-  ``u16`` codec version, a fixed-size header, then the raw
+* **packed block records** (the only shape written): a ``RPCK`` magic,
+  a ``u16`` codec version, a fixed-size header, then the raw
   offsets/vertices/levels buffers followed by the (small) pickled label
   table and report metadata.  Decoding slices the arrays straight out
   of the payload with ``np.frombuffer`` — a resume replay never
@@ -36,9 +35,9 @@ uses.  Since the packed result plane there are two:
   :class:`~repro.errors.CorruptSegmentError` (same refusal discipline
   as the tuned-tree envelope's ``FormatError``).
 * **legacy pickled records** — a pickled ``(level, block_id,
-  BlockReport)`` triple.  Still written for frozenset-plane reports and
-  still readable, so spill directories from earlier versions resume
-  unchanged.
+  BlockReport)`` triple, written by earlier versions.  No longer
+  written, but still read, so spill directories from earlier versions
+  resume unchanged.
 
 For the fault-injection tests the writer honours the same
 ``REPRO_FAULT_INJECT`` environment hook the executors use (see
@@ -64,7 +63,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.block_analysis import BlockReport
-from repro.core.cliquestore import CliqueStore
+from repro.core.cliquestore import CliqueStore, store_of
 from repro.errors import CorruptSegmentError
 
 SEGMENT_MAGIC = b"RPRSEG01"
@@ -148,24 +147,14 @@ def decode_record(data: bytes, offset: int, path: str | None = None) -> tuple[by
 
 
 def encode_block_record(level: int, block_id: int, report: BlockReport) -> bytes:
-    """Serialize one finished block's report as a record payload.
+    """Serialize one finished block's report as an ``RPCK`` v1 payload.
 
-    Packed-plane reports take the ``RPCK`` codec — raw array buffers,
-    no per-clique pickling; legacy frozenset reports keep the pickled
-    triple so old and new spill directories interoperate both ways.
+    Raw array buffers, no per-clique pickling.  A report whose
+    ``cliques`` is a frozenset list (a hand-built report, or one
+    replayed from a legacy pickled record) is packed with
+    :func:`~repro.core.cliquestore.store_of` first.
     """
-    if isinstance(report.cliques, CliqueStore):
-        return _encode_packed_record(level, block_id, report)
-    return pickle.dumps(
-        (int(level), int(block_id), report), protocol=pickle.HIGHEST_PROTOCOL
-    )
-
-
-def _encode_packed_record(
-    level: int, block_id: int, report: BlockReport
-) -> bytes:
-    """The ``RPCK`` v1 wire form of a packed block record."""
-    store = report.cliques
+    store = store_of(report.cliques)
     offsets = np.ascontiguousarray(store.offsets, dtype=np.uint64)
     vertices = np.ascontiguousarray(store.vertices, dtype=np.uint32)
     has_levels = store.levels is not None
@@ -212,7 +201,7 @@ def _encode_packed_record(
 
 
 def _decode_packed_record(payload: bytes) -> tuple[int, int, BlockReport]:
-    """Inverse of :func:`_encode_packed_record`; rigorously validated.
+    """Inverse of :func:`encode_block_record`; rigorously validated.
 
     Every length is checked against the buffer before slicing and the
     payload must be consumed exactly, so a foreign blob that happens to

@@ -106,7 +106,7 @@ def run_driver(
     mode: str, graph: Graph, m: int, combo: Combo | None = None
 ) -> Canonical:
     """Full two-level enumeration through the named driver mode."""
-    result = _driver_result(mode, graph, m, combo=combo)
+    result = driver_result(mode, graph, m, combo=combo)
     return canonical_cliques(result.cliques)
 
 
@@ -121,7 +121,7 @@ def run_driver_levels(
     dict-path barrier driver and the CSR-native pipeline even though
     their block shapes differ.
     """
-    result = _driver_result(mode, graph, m, combo=combo)
+    result = driver_result(mode, graph, m, combo=combo)
     by_level: dict[int, list] = {}
     for clique in result.cliques:
         by_level.setdefault(result.provenance[clique], []).append(clique)
@@ -143,19 +143,21 @@ def run_driver_floor(
     of the same mode filtered to ``len(c) >= min_clique_size`` — block
     and anchor skipping may only remove work, never answers.
     """
-    result = _driver_result(
+    result = driver_result(
         mode, graph, m, combo=combo, min_clique_size=min_clique_size
     )
     return canonical_cliques(result.cliques)
 
 
-def _driver_result(
+def driver_result(
     mode: str,
     graph: Graph,
     m: int,
     combo: Combo | None = None,
     min_clique_size: int = 0,
+    collect_reports: bool = False,
 ):
+    """The :class:`CliqueResult` of one run through the named driver mode."""
     spill = mode.endswith("-spill")
     if spill:
         mode = mode[: -len("-spill")]
@@ -188,6 +190,7 @@ def _driver_result(
             pipeline=pipeline,
             spill_dir=spill_dir,
             min_clique_size=min_clique_size,
+            collect_reports=collect_reports,
         )
     finally:
         if spill_dir is not None:

@@ -114,6 +114,22 @@ class TestEnumerate:
         with pytest.raises(SystemExit):
             main(["enumerate", "--input", str(path), "--m", "5", "--ratio", "0.5"])
 
+    def test_split_threshold_without_split_fails(self, triples, capsys):
+        path, _graph = triples
+        code = main(
+            ["enumerate", "--input", str(path), "--m", "25", "--split-threshold", "0"]
+        )
+        assert code == 1
+        assert "split_threshold requires split=True" in capsys.readouterr().err
+
+    def test_batch_cutoff_without_batch_blocks_fails(self, triples, capsys):
+        path, _graph = triples
+        code = main(
+            ["enumerate", "--input", str(path), "--m", "25", "--batch-cutoff", "64"]
+        )
+        assert code == 1
+        assert "batch_cutoff requires batch_blocks=True" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_detects_incompleteness(self, triples, capsys):

@@ -2,20 +2,21 @@
 
 Four layers of coverage:
 
-* property-based round-trips of :class:`CliqueStore` and its emitters —
-  packing any clique collection and decoding it back is the identity,
-  and every aggregate (sizes, histogram, top-k, selection) agrees with
-  the plain-Python computation on the decoded cliques;
+* property-based round-trips of :class:`CliqueStore` and
+  :class:`CliqueBuffer` — packing any clique collection and decoding it
+  back is the identity, and every aggregate (sizes, histogram, top-k,
+  selection) and every emitter entry point agrees with the plain-Python
+  computation;
 * the ``RPCK`` packed segment codec — encode/decode round-trips
-  (including the empty store and singleton cliques), torn-tail recovery
-  on packed segments, refusal of unknown codec versions and of foreign
-  payloads;
-* back-compat — a spill directory written with the legacy pickled
-  record format (the ``REPRO_RESULT_PLANE=frozenset`` plane) resumes
-  and replays correctly under the packed plane;
-* plane parity — every differential driver mode and every combo
-  produces byte-identical clique sets on the packed and the frozenset
-  planes.
+  (including the empty store, singleton cliques and frozenset-list
+  reports), torn-tail recovery on packed segments, refusal of unknown
+  codec versions and of foreign payloads;
+* back-compat — a spill directory in the legacy pickled record format
+  of earlier versions resumes and replays correctly;
+* plane parity — in every differential driver mode and with every
+  combo, the driver's packed output equals, clique for clique and in
+  order, the frozenset plane kept here as the oracle: the same block
+  reports decoded to frozensets and merged with the list Lemma-1 filter.
 """
 
 from __future__ import annotations
@@ -28,19 +29,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from differential import DRIVER_MODES, canonical_cliques, run_driver
+from differential import DRIVER_MODES, driver_result
 from repro.core.block_analysis import BlockReport
 from repro.core.cliquestore import (
-    RESULT_PLANE_ENV,
     CliqueBuffer,
     CliqueStore,
-    FrozensetEmitter,
     GlobalCliqueIndex,
-    make_emitter,
-    packed_plane_enabled,
     store_of,
 )
 from repro.core.driver import find_max_cliques
+from repro.core.filtering import filter_contained
+from repro.core.result import CliqueResult
 from repro.decision.features import BlockFeatures
 from repro.errors import CorruptSegmentError
 from repro.graph.generators import social_network
@@ -51,6 +50,7 @@ from repro.runs.segments import (
     SegmentWriter,
     decode_block_record,
     encode_block_record,
+    read_segment,
     recover_segment,
 )
 
@@ -168,20 +168,19 @@ class TestCliqueStore:
 
 
 class TestEmitters:
-    """Both planes, same inputs, same cliques — the emitter seam."""
+    """Each :class:`CliqueBuffer` entry point against plain Python."""
 
     LABELS = [f"n{i}" for i in range(32)]
 
-    def pair(self):
-        return CliqueBuffer(labels=self.LABELS), FrozensetEmitter(self.LABELS)
+    def decoded(self, id_rows):
+        return [frozenset(self.LABELS[i] for i in row) for row in id_rows]
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 31), st.integers(0, 31)), max_size=8))
     def test_extend_parity(self, tuples):
-        packed, legacy = self.pair()
-        packed.extend(tuples)
-        legacy.extend(tuples)
-        assert packed.build().to_list() == legacy.build()
+        buffer = CliqueBuffer(labels=self.LABELS)
+        buffer.extend(tuples)
+        assert buffer.build().to_list() == self.decoded(tuples)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -189,10 +188,11 @@ class TestEmitters:
         st.lists(st.tuples(st.integers(0, 31)), max_size=8),
     )
     def test_extend_prefixed_parity(self, anchor, extensions):
-        packed, legacy = self.pair()
-        packed.extend_prefixed(anchor, extensions)
-        legacy.extend_prefixed(anchor, extensions)
-        assert packed.build().to_list() == legacy.build()
+        buffer = CliqueBuffer(labels=self.LABELS)
+        buffer.extend_prefixed(anchor, extensions)
+        assert buffer.build().to_list() == self.decoded(
+            (anchor, *extension) for extension in extensions
+        )
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -204,18 +204,12 @@ class TestEmitters:
         columns = [
             np.arange(count, dtype=np.uint32) % 32 for _ in range(depth)
         ]
-        packed, legacy = self.pair()
-        packed.append_columns(prefix, columns)
-        legacy.append_columns(prefix, columns)
-        assert packed.build().to_list() == legacy.build()
-
-    def test_plane_switch(self, monkeypatch):
-        monkeypatch.delenv(RESULT_PLANE_ENV, raising=False)
-        assert packed_plane_enabled()
-        assert isinstance(make_emitter(self.LABELS), CliqueBuffer)
-        monkeypatch.setenv(RESULT_PLANE_ENV, "frozenset")
-        assert not packed_plane_enabled()
-        assert isinstance(make_emitter(self.LABELS), FrozensetEmitter)
+        buffer = CliqueBuffer(labels=self.LABELS)
+        buffer.append_columns(prefix, columns)
+        rows = zip(*[column.tolist() for column in columns])
+        assert buffer.build().to_list() == self.decoded(
+            prefix + row for row in rows
+        )
 
 
 class TestGlobalCliqueIndex:
@@ -269,6 +263,21 @@ class TestPackedRecordCodec:
         )
         _, _, back = decode_block_record(encode_block_record(0, 1, report))
         assert back.cliques.levels.tolist() == [0, 2]
+
+    def test_list_report_is_written_as_rpck(self):
+        cliques = [frozenset({"a", "b"}), frozenset({"b", "c", "d"})]
+        report = BlockReport(
+            cliques=cliques,
+            combo=Combo("tomita", "lists"),
+            features=reference_features(),
+            seconds=0.5,
+        )
+        payload = encode_block_record(4, 2, report)
+        assert payload.startswith(PACKED_RECORD_MAGIC)
+        level, block_id, back = decode_block_record(payload)
+        assert (level, block_id) == (4, 2)
+        assert isinstance(back.cliques, CliqueStore)
+        assert back.cliques.to_list() == cliques
 
     def test_legacy_pickled_record_still_decodes(self):
         legacy = BlockReport(
@@ -345,30 +354,51 @@ def graph():
     return social_network(70, attachment=3, planted_cliques=(6,), seed=11)
 
 
+def frozenset_plane(result: CliqueResult) -> CliqueResult:
+    """The frozenset result plane, kept as the oracle of the packed one.
+
+    Decodes the block reports of ``result`` (a ``collect_reports=True``
+    run) to frozenset lists and merges the levels bottom-up with the
+    list Lemma-1 filter (:func:`filter_contained`): deeper cliques first
+    filtered against each shallower level, every level's own cliques
+    first in the merged order.
+    """
+    assert not result.fallback_used
+    merged: list[frozenset] = []
+    provenance: dict[frozenset, int] = {}
+    for level in range(len(result.block_reports) - 1, -1, -1):
+        feasible_side = [
+            clique
+            for report in result.block_reports[level]
+            for clique in report.cliques
+        ]
+        provenance.update(dict.fromkeys(feasible_side, level))
+        merged = feasible_side + filter_contained(merged, feasible_side)
+    return CliqueResult(
+        cliques=merged,
+        provenance={clique: provenance[clique] for clique in merged},
+        levels=result.levels,
+        m=result.m,
+    )
+
+
 class TestPlaneParity:
-    """Packed and frozenset planes: byte-identical clique sets."""
+    """Packed driver output against the frozenset-plane oracle."""
 
     @pytest.mark.parametrize("mode", DRIVER_MODES)
-    def test_driver_modes_agree_across_planes(self, mode, graph, monkeypatch):
-        monkeypatch.delenv(RESULT_PLANE_ENV, raising=False)
-        packed = run_driver(mode, graph, M)
-        monkeypatch.setenv(RESULT_PLANE_ENV, "frozenset")
-        legacy = run_driver(mode, graph, M)
-        assert packed == legacy
+    def test_driver_modes_agree_across_planes(self, mode, graph):
+        packed = driver_result(mode, graph, M, collect_reports=True)
+        assert packed.cliques == frozenset_plane(packed).cliques
 
     @pytest.mark.parametrize("combo", ALL_COMBOS, ids=lambda c: c.name)
-    def test_combos_agree_across_planes(self, combo, graph, monkeypatch):
-        monkeypatch.delenv(RESULT_PLANE_ENV, raising=False)
-        packed = run_driver("serial", graph, M, combo=combo)
-        monkeypatch.setenv(RESULT_PLANE_ENV, "frozenset")
-        legacy = run_driver("serial", graph, M, combo=combo)
-        assert packed == legacy
+    def test_combos_agree_across_planes(self, combo, graph):
+        packed = driver_result("serial", graph, M, combo=combo, collect_reports=True)
+        assert packed.cliques == frozenset_plane(packed).cliques
 
-    def test_provenance_agrees_across_planes(self, graph, monkeypatch):
-        monkeypatch.delenv(RESULT_PLANE_ENV, raising=False)
-        packed = find_max_cliques(graph, M)
-        monkeypatch.setenv(RESULT_PLANE_ENV, "frozenset")
-        legacy = find_max_cliques(graph, M)
+    def test_provenance_agrees_across_planes(self, graph):
+        packed = find_max_cliques(graph, M, collect_reports=True)
+        legacy = frozenset_plane(packed)
+        assert packed.hub_cliques()
         assert packed.provenance == legacy.provenance
         packed_summary, legacy_summary = packed.summary(), legacy.summary()
         for key in ("num_cliques", "max_clique_size", "feasible_cliques", "hub_only_cliques"):
@@ -378,30 +408,34 @@ class TestPlaneParity:
 
 
 class TestLegacySpillBackCompat:
-    def test_legacy_spill_dir_resumes_under_packed_plane(
-        self, graph, tmp_path, monkeypatch
-    ):
-        # A complete durable run on the legacy plane writes pickled
-        # records ...
-        monkeypatch.setenv(RESULT_PLANE_ENV, "frozenset")
-        legacy = find_max_cliques(graph, M, spill_dir=tmp_path)
-        assert legacy.run_info["blocks_recorded"] > 0
-        # ... which a packed-plane build replays without re-analysing.
-        monkeypatch.delenv(RESULT_PLANE_ENV)
+    def test_legacy_spill_dir_resumes_under_packed_plane(self, graph, tmp_path):
+        # Record a packed run, then forge the directory an earlier
+        # version wrote: each record a pickled (level, block_id,
+        # BlockReport) triple whose cliques are a frozenset list.
+        recorded = find_max_cliques(graph, M, spill_dir=tmp_path)
+        forged = 0
+        for path in sorted(tmp_path.glob("*.seg")):
+            payloads = list(read_segment(path))
+            path.unlink()
+            with SegmentWriter(path) as writer:
+                for payload in payloads:
+                    level, block_id, report = decode_block_record(payload)
+                    report.cliques = list(report.cliques)
+                    legacy = pickle.dumps(
+                        (level, block_id, report), protocol=pickle.HIGHEST_PROTOCOL
+                    )
+                    assert not legacy.startswith(PACKED_RECORD_MAGIC)
+                    writer.append(legacy)
+                    forged += 1
+        assert forged == recorded.run_info["blocks_recorded"] > 0
         resumed = find_max_cliques(graph, M, spill_dir=tmp_path, resume=True)
         assert resumed.run_info["blocks_recorded"] == 0
-        assert resumed.run_info["blocks_replayed"] > 0
-        assert canonical_cliques(resumed.cliques) == canonical_cliques(
-            legacy.cliques
-        )
+        assert resumed.run_info["blocks_replayed"] == forged
+        assert resumed.cliques == recorded.cliques
+        assert resumed.provenance == recorded.provenance
 
-    def test_packed_spill_dir_resumes_under_packed_plane(
-        self, graph, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv(RESULT_PLANE_ENV, raising=False)
+    def test_packed_spill_dir_resumes_under_packed_plane(self, graph, tmp_path):
         fresh = find_max_cliques(graph, M, spill_dir=tmp_path)
         resumed = find_max_cliques(graph, M, spill_dir=tmp_path, resume=True)
         assert resumed.run_info["blocks_replayed"] > 0
-        assert canonical_cliques(resumed.cliques) == canonical_cliques(
-            fresh.cliques
-        )
+        assert resumed.cliques == fresh.cliques

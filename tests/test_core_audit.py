@@ -9,6 +9,8 @@ import pytest
 from repro.core.audit import audit_result
 from repro.core.driver import find_max_cliques
 from repro.core.result import CliqueResult
+from repro.graph.cores import degeneracy
+from repro.graph.datasets import DATASETS
 from repro.graph.generators import complete_graph, social_network
 
 
@@ -92,6 +94,30 @@ class TestAuditDetectsTampering:
         report = audit_result(graph, tampered, check_completeness=False)
         assert any("feasible node" in p for p in report.problems)
 
+    def test_deep_level_tag_checked_exactly(self):
+        # m just above the degeneracy: five recursion levels, so hub-only
+        # cliques sit at several levels and a one-level shift hides from
+        # any check of the level-0 feasible/hub split alone.
+        graph = social_network(
+            100,
+            attachment=6,
+            closure_probability=0.3,
+            planted_cliques=(8, 7, 6),
+            seed=6,
+        )
+        result = find_max_cliques(graph, degeneracy(graph) + 2)
+        assert audit_result(graph, result, check_completeness=False).ok
+        level_two = [c for c, level in result.provenance.items() if level == 2]
+        assert level_two
+        provenance = dict(result.provenance)
+        provenance[level_two[0]] = 1
+        tampered = self._tampered(result, result.cliques, provenance)
+        report = audit_result(graph, tampered, check_completeness=False)
+        assert len(report.problems) == 1
+        assert report.problems[0].startswith(
+            "level-1 clique without feasible node (first at level 2)"
+        )
+
     def test_provenance_key_mismatch(self, run):
         graph, result = run
         provenance = dict(result.provenance)
@@ -99,6 +125,15 @@ class TestAuditDetectsTampering:
         tampered = self._tampered(result, result.cliques, provenance)
         report = audit_result(graph, tampered, check_completeness=False)
         assert any("provenance keys" in p for p in report.problems)
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_standins_at_half_max_degree_pass(name):
+    graph = DATASETS[name].build()
+    result = find_max_cliques(graph, max(2, graph.max_degree() // 2))
+    report = audit_result(graph, result, check_completeness=False)
+    assert report.ok, report.problems[:3]
+    assert report.checked_cliques == result.num_cliques
 
 
 class TestSummary:

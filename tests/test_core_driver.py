@@ -127,6 +127,14 @@ class TestConvergenceGuard:
         with pytest.raises(ValueError):
             find_max_cliques(Graph(), 0)
 
+    def test_split_threshold_without_split(self):
+        with pytest.raises(ValueError, match="split_threshold requires split"):
+            find_max_cliques(complete_graph(4), 5, split_threshold=0.0)
+
+    def test_batch_cutoff_without_batch_blocks(self):
+        with pytest.raises(ValueError, match="batch_cutoff requires batch_blocks"):
+            find_max_cliques(complete_graph(4), 5, batch_cutoff=64)
+
 
 class TestOptions:
     def test_forced_combo(self):

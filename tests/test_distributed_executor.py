@@ -54,6 +54,13 @@ class TestSimulatedExecutor:
             sum(report.seconds for report in reports)
         )
 
+    def test_keeps_one_run_per_call(self, blocks):
+        executor = SimulatedExecutor(cluster=ClusterSpec(machines=2))
+        executor.map_blocks(blocks[:4])
+        executor.map_blocks(blocks[4:])
+        assert len(executor.runs) == 2
+        assert executor.runs[-1] is executor.last_run
+
     def test_same_cliques_as_serial(self, blocks):
         serial = SerialExecutor().map_blocks(blocks)
         simulated = SimulatedExecutor(cluster=ClusterSpec()).map_blocks(blocks)

@@ -72,6 +72,12 @@ class TestGuards:
         with pytest.raises(ValueError):
             run_distributed(complete_graph(3), 0)
 
+    def test_cluster_and_executor_together(self):
+        with pytest.raises(ValueError, match="cluster= or executor="):
+            run_distributed(
+                complete_graph(3), 4, cluster=paper_cluster(), executor=SerialExecutor()
+            )
+
 
 class TestProcessExecutorIntegration:
     def test_process_pool_driver_matches_serial(self):
