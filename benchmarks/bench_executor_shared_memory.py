@@ -22,7 +22,7 @@ import time
 
 from conftest import ratio_to_m
 from repro.analysis.report import format_table
-from repro.core.block_analysis import analyze_blocks
+from repro.core.block_analysis import analyze_blocks, descriptors_of
 from repro.core.blocks import build_blocks
 from repro.core.feasibility import cut
 from repro.distributed.executor import (
@@ -50,7 +50,7 @@ def test_shared_dispatch_bytes_beat_pickled_blocks(benchmark, emit):
 
     def run():
         executor = SharedMemoryExecutor(max_workers=WORKERS)
-        executor.map_blocks(blocks, graph=graph)
+        executor.map_blocks(*descriptors_of(blocks, graph))
         return executor.last_trace
 
     trace = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -89,7 +89,7 @@ def test_shared_executor_speedup_over_serial(benchmark, emit):
     executor = SharedMemoryExecutor(max_workers=WORKERS)
 
     def run():
-        return executor.map_blocks(blocks, graph=graph)
+        return executor.map_blocks(*descriptors_of(blocks, graph))
 
     start = time.perf_counter()
     reports = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -39,7 +39,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.block_analysis import analyze_blocks
+from repro.core.block_analysis import analyze_blocks, descriptors_of
 from repro.core.blocks import build_blocks
 from repro.core.feasibility import cut
 from repro.decision.features import adaptive_split_threshold
@@ -83,7 +83,7 @@ def replay(costs: list[float], workers: int) -> Schedule:
 def measured_run(executor: SharedMemoryExecutor, blocks, graph):
     """One timed ``map_blocks``; returns (reports, trace, wall_seconds)."""
     start = time.perf_counter()
-    reports = executor.map_blocks(blocks, graph=graph)
+    reports = executor.map_blocks(*descriptors_of(blocks, graph))
     wall = time.perf_counter() - start
     return reports, executor.last_trace, wall
 

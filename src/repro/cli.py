@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="serial",
         help=(
             "block-analysis executor: in-process serial (default), a "
-            "pickling process pool, or the zero-copy shared-memory pool"
+            "process pool that receives each level once per worker, or "
+            "the zero-copy shared-memory pool"
         ),
     )
     enumerate_.add_argument(

@@ -6,6 +6,7 @@ from repro.core.block_analysis import (
     BlockReport,
     analyze_block,
     analyze_blocks,
+    descriptors_of,
 )
 from repro.core.blocks import (
     SEED_ORDERS,
@@ -39,6 +40,7 @@ __all__ = [
     "BlockReport",
     "analyze_block",
     "analyze_blocks",
+    "descriptors_of",
     "SEED_ORDERS",
     "Block",
     "blocks_csr",

@@ -49,7 +49,7 @@ from repro.decision.features import (
 )
 from repro.decision.paper_tree import paper_tree, select_combo
 from repro.decision.tree import DecisionTree
-from repro.graph.adjacency import Node
+from repro.graph.adjacency import Graph, Node
 from repro.graph.csr import (
     BitmapScratch,
     CSRGraph,
@@ -104,10 +104,9 @@ def analyze_block(
 
     Delegates to :func:`analyze_block_csr`: the block's induced graph
     becomes a block-sized CSR snapshot and the block one
-    :class:`BlockDescriptor` over it, with members in the order
-    :meth:`BlockDescriptor.from_block` uses — so the report, down to the
-    clique emission order, is the one any executor produces for the
-    same block.
+    :class:`BlockDescriptor` over it (:func:`descriptors_of`), so the
+    report, down to the clique emission order, is the one any executor
+    produces for the same block.
 
     Parameters
     ----------
@@ -131,9 +130,9 @@ def analyze_block(
         The cliques found (each has ≥ 1 kernel node and no visited node),
         the combination used, the block features, and the wall-clock time.
     """
-    csr = CSRGraph(block.graph)
+    (descriptor,), csr = descriptors_of([block], block.graph)
     return analyze_block_csr(
-        BlockDescriptor.from_block(0, block, csr),
+        descriptor,
         csr.indptr,
         csr.indices,
         csr.labels,
@@ -165,38 +164,20 @@ def _anchor_below_floor(
     )
 
 
-def block_clique_bound(block: Block) -> int:
-    """Upper bound on any clique the block can emit (``Graph`` path).
-
-    Every reported clique lies inside kernel ∪ border (visited members
-    are excluded by construction), so the bound is
-    :func:`repro.mce.maximum.clique_upper_bound_packed` over that
-    induced subgraph.  The barrier driver prices each block with this
-    before dispatch and skips those falling below ``min_clique_size``.
-    """
-    members = list(block.kernel) + sorted(block.border, key=str)
-    n = len(members)
-    if n == 0:
-        return 0
-    index_of = {node: i for i, node in enumerate(members)}
-    bitmap = np.zeros((n, words_for(n)), dtype=np.uint64)
-    one = np.uint64(1)
-    for i, node in enumerate(members):
-        row = bitmap[i]
-        for other in block.graph.neighbors(node):
-            j = index_of.get(other)
-            if j is not None:
-                row[j >> 6] |= one << np.uint64(j & 63)
-    return clique_upper_bound_packed(bitmap)
-
-
 def block_clique_bound_csr(
     descriptor: "BlockDescriptor",
     indptr: np.ndarray,
     indices: np.ndarray,
     scratch: BitmapScratch | None = None,
 ) -> int:
-    """CSR twin of :func:`block_clique_bound` for the pipeline driver."""
+    """Upper bound on any clique the block can emit.
+
+    Every reported clique lies inside kernel ∪ border (visited members
+    are excluded by construction), so the bound is
+    :func:`repro.mce.maximum.clique_upper_bound_packed` over that
+    induced subgraph.  The driver prices each block with this before
+    dispatch and skips those falling below ``min_clique_size``.
+    """
     member_ids = np.concatenate([descriptor.kernel_ids, descriptor.border_ids])
     if len(member_ids) == 0:
         return 0
@@ -237,15 +218,15 @@ class BlockDescriptor:
     executor ships to a worker instead of a pickled subgraph: three
     small ``int64`` arrays naming the block's members by their dense
     indices in the level graph's :class:`repro.graph.csr.CSRGraph`.
-    ``kernel_ids`` preserves kernel assignment order.  The order of
-    ``border_ids``/``visited_ids`` depends on who built the descriptor:
-    :meth:`from_block` sorts them by ``str`` of the node label (the
-    order :mod:`repro.core.blocks` gives a block's induced graph), while
-    :func:`repro.core.blocks.blocks_csr` emits them in ascending dense
-    id.  Either way the member order is kernel, border, visited, and the
-    analysis is a pure function of it.  ``estimated_cost`` is what
-    schedulers order by: ``blocks_csr`` emits priced descriptors,
-    :meth:`from_block` unpriced ones (see :meth:`priced`).
+    ``kernel_ids`` preserves kernel assignment order.
+    :func:`repro.core.blocks.blocks_csr` emits ``border_ids`` and
+    ``visited_ids`` in ascending dense id; :func:`descriptors_of` keeps
+    a reference :class:`~repro.core.blocks.Block`'s ``str``-sorted
+    order.  Either way the member order is kernel, border, visited, and
+    the analysis is a pure function of it.  ``block_id`` names the block
+    in results, traces and spill records.  ``estimated_cost`` stays
+    ``0.0`` until an executor that orders by cost prices the descriptor
+    (:meth:`priced`).
     """
 
     block_id: int
@@ -254,41 +235,24 @@ class BlockDescriptor:
     visited_ids: np.ndarray
     estimated_cost: float = 0.0
 
-    @classmethod
-    def from_block(
-        cls, block_id: int, block: Block, csr: CSRGraph
-    ) -> "BlockDescriptor":
-        """An unpriced descriptor of ``block`` over its level snapshot ``csr``.
-
-        The block's own ``graph`` is never read.
-        """
-        members = block.members
-        member_ids = np.fromiter(
-            map(csr.index_of, members), dtype=np.int64, count=len(members)
-        )
-        border_start = len(block.kernel)
-        visited_start = border_start + len(block.border)
-        return cls(
-            block_id=block_id,
-            kernel_ids=member_ids[:border_start],
-            border_ids=member_ids[border_start:visited_start],
-            visited_ids=member_ids[visited_start:],
-        )
-
-    def priced(
-        self, csr: CSRGraph, scratch: BitmapScratch | None = None
-    ) -> "BlockDescriptor":
+    def priced(self, csr, scratch: BitmapScratch | None = None) -> "BlockDescriptor":
         """This descriptor with ``estimated_cost`` set from ``csr``.
 
-        The cost comes from the member count and the induced edge count,
-        gathered from ``csr`` the way :func:`repro.core.blocks.blocks_csr`
-        prices its descriptors.
+        The cost (:func:`~repro.decision.features.estimate_analysis_cost`)
+        comes from the member count and the induced edge count, gathered
+        from the ``indptr``/``indices`` of ``csr`` (a
+        :class:`~repro.graph.csr.CSRGraph` or a published
+        :class:`~repro.graph.csr.SharedCSR`).
         """
+        edges = self.induced_edges(csr, scratch)
+        return replace(self, estimated_cost=estimate_analysis_cost(self.size, edges))
+
+    def induced_edges(self, csr, scratch: BitmapScratch | None = None) -> int:
+        """Edges among the block's members, gathered from ``csr``'s rows."""
         member_ids = np.concatenate(
             (self.kernel_ids, self.border_ids, self.visited_ids)
         )
-        edges = induced_edge_count(csr.indptr, csr.indices, member_ids, scratch)
-        return replace(self, estimated_cost=estimate_analysis_cost(self.size, edges))
+        return induced_edge_count(csr.indptr, csr.indices, member_ids, scratch)
 
     def nbytes(self) -> int:
         """Bytes of payload actually dispatched for this block."""
@@ -300,6 +264,37 @@ class BlockDescriptor:
     def size(self) -> int:
         """Total number of nodes in the described block."""
         return len(self.kernel_ids) + len(self.border_ids) + len(self.visited_ids)
+
+
+def descriptors_of(
+    blocks: list[Block], graph: Graph
+) -> tuple[list[BlockDescriptor], CSRGraph]:
+    """Unpriced descriptors of reference blocks over one CSR of ``graph``.
+
+    The one conversion for callers that hold
+    :class:`~repro.core.blocks.Block` s (from
+    :func:`~repro.core.blocks.build_blocks`) and want an executor's
+    ``map_blocks(descriptors, csr)``: ``graph`` is the level graph the
+    blocks were cut from, and block ``i`` becomes descriptor ``i``.  No
+    block's own ``graph`` is read.
+    """
+    csr = CSRGraph(graph)
+    descriptors = []
+    for block_id, block in enumerate(blocks):
+        member_ids = np.fromiter(
+            map(csr.index_of, block.members), dtype=np.int64, count=block.size
+        )
+        border_start = len(block.kernel)
+        visited_start = border_start + len(block.border)
+        descriptors.append(
+            BlockDescriptor(
+                block_id=block_id,
+                kernel_ids=member_ids[:border_start],
+                border_ids=member_ids[border_start:visited_start],
+                visited_ids=member_ids[visited_start:],
+            )
+        )
+    return descriptors, csr
 
 
 def analyze_block_csr(

@@ -21,14 +21,13 @@ homogeneous chunks that an exact MCE algorithm then refines.
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from repro.errors import DecompositionError
 from repro.graph.adjacency import Graph, Node
-from repro.graph.csr import BitmapScratch, CSRGraph, induced_edge_count
+from repro.graph.csr import CSRGraph
 from repro.graph.views import induced_subgraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (block_analysis imports us)
@@ -279,27 +278,24 @@ def blocks_csr(
     min_adjacency: int = 1,
     seed_order: str = "insertion",
 ) -> Iterator["BlockDescriptor"]:
-    """CSR-native ``BLOCKS``: stream one :class:`BlockDescriptor` per block.
+    """``BLOCKS`` over a CSR snapshot: one :class:`BlockDescriptor` per block.
 
-    The id-space twin of :func:`build_blocks`, run entirely on the flat
-    ``indptr``/``indices`` arrays of ``csr`` — no dict ``Graph``, no
-    per-block induced subgraph.  The greedy density-seeking growth is
-    incremental instead of rescanned: an ``adj_count`` array tracks each
-    candidate's adjacencies to the current kernel set (updated once per
-    promoted kernel node's neighbour row) and a bucket-of-heaps candidate
-    structure answers "most adjacent, earliest discovered" in amortized
-    ``O(log m)`` per counter bump, replacing the per-step
-    O(|candidates|) scan of the dict path.  Per-block closed-set
-    membership uses epoch stamps, so no array is reallocated or cleared
-    between blocks.
+    The decomposition every driver mode runs.  It is Alg. 3 as
+    :func:`build_blocks` writes it, over dense ids: the level's
+    ``indptr``/``indices`` become Python lists once per call, and each
+    block grows from its seed by promoting the unassigned feasible
+    candidate with the most adjacencies to the kernel set, ties going to
+    the candidate counted first.  Neighbour rows are read in ascending
+    id order, and ``border_ids``/``visited_ids`` are ascending ids too,
+    where :func:`build_blocks` follows the ``Graph``'s neighbour order
+    and sorts labels by ``str``.  So the two partitions may differ;
+    the clique output does not depend on the partition.
 
     Descriptors are yielded as soon as each block's growth stops, which
     is what lets the pipeline driver dispatch them to workers while the
     rest of the level (and later levels) is still being decomposed.
-    ``border_ids``/``visited_ids`` are in ascending dense-id order (the
-    CSR-native deterministic order; the dict path sorts labels by
-    ``str`` instead — block shapes may differ between the two paths, but
-    the clique output is invariant to the partition).
+    They are unpriced (``estimated_cost`` 0.0): the executors that order
+    by cost price them (:meth:`BlockDescriptor.priced`).
 
     Parameters
     ----------
@@ -322,7 +318,6 @@ def blocks_csr(
         (``feasible_ids`` computed for a different ``m``).
     """
     from repro.core.block_analysis import BlockDescriptor
-    from repro.decision.features import estimate_analysis_cost
 
     if m < 1:
         raise ValueError("block size m must be at least 1")
@@ -332,64 +327,34 @@ def blocks_csr(
         raise ValueError(
             f"unknown seed_order {seed_order!r}; known: {', '.join(SEED_ORDERS)}"
         )
-    indptr, indices = csr.indptr, csr.indices
-    n = csr.num_nodes
-    ordered = np.asarray(feasible_ids, dtype=np.int64)
-    if seed_order != "insertion" and len(ordered):
-        degrees = csr.degree_array()[ordered]
-        if seed_order == "min_degree":
-            ordered = ordered[np.argsort(degrees, kind="stable")]
-        else:
-            ordered = ordered[np.argsort(-degrees, kind="stable")]
+    indptr: list[int] = csr.indptr.tolist()
+    indices: list[int] = csr.indices.tolist()
+    ordered: list[int] = np.asarray(feasible_ids, dtype=np.int64).tolist()
+    if seed_order != "insertion":
+        ordered.sort(
+            key=lambda node: indptr[node + 1] - indptr[node],
+            reverse=seed_order == "max_degree",
+        )
+    # Per node: 0 = hub, 1 = unassigned feasible, 2 = kernel node.
+    state = bytearray(csr.num_nodes)
+    for node in ordered:
+        state[node] = 1
 
-    is_candidate = np.zeros(n, dtype=bool)  # feasible and not yet a kernel
-    is_candidate[feasible_ids] = True
-    used_kernel = np.zeros(n, dtype=bool)
-    # Epoch-stamped per-block state: a cell belongs to the current block
-    # iff its stamp equals the block's epoch, so nothing is ever cleared.
-    closed_epoch = np.zeros(n, dtype=np.int64)  # kernel ∪ N(kernel) members
-    kernel_epoch = np.zeros(n, dtype=np.int64)
-    count_epoch = np.zeros(n, dtype=np.int64)
-    adj_count = np.zeros(n, dtype=np.int64)  # adjacencies to current kernel
-    discovery = np.zeros(n, dtype=np.int64)  # first-counted order (tie-break)
-    scratch = BitmapScratch()  # position map for pricing each block
-
-    epoch = 0
     block_id = 0
-    seed_cursor = 0
-    while True:
-        while seed_cursor < len(ordered) and not is_candidate[ordered[seed_cursor]]:
-            seed_cursor += 1
-        if seed_cursor >= len(ordered):
-            return
-        epoch += 1
+    for seed in ordered:
+        if state[seed] != 1:
+            continue
         kernel: list[int] = []
-        closed_chunks: list[np.ndarray] = []
-        closed_size = 0
-        # buckets[c] is a min-heap of (discovery, node) over candidates
-        # whose adjacency count was c when pushed; stale entries (count
-        # since bumped, or node promoted) are skipped lazily on pop.
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        max_count = 0
-        next_seq = 0
-
-        def pop_best() -> int | None:
-            nonlocal max_count
-            while max_count >= min_adjacency:
-                heap = buckets.get(max_count)
-                while heap:
-                    _, node = heapq.heappop(heap)
-                    if is_candidate[node] and adj_count[node] == max_count:
-                        return node
-                max_count -= 1
-            return None
-
-        candidate: int | None = int(ordered[seed_cursor])
+        closed: set[int] = set()  # kernel ∪ N(kernel), the block-size measure
+        # candidate -> adjacencies with the kernel set, in discovery order.
+        adjacency_count: dict[int, int] = {}
+        candidate: int | None = seed
         while candidate is not None:
             row = indices[indptr[candidate] : indptr[candidate + 1]]
-            fresh = row[closed_epoch[row] != epoch]
-            addition = len(fresh) + (1 if closed_epoch[candidate] != epoch else 0)
-            if closed_size + addition > m:
+            fresh = [node for node in row if node not in closed]
+            if candidate not in closed:
+                fresh.append(candidate)
+            if len(closed) + len(fresh) > m:
                 if not kernel:
                     raise DecompositionError(
                         f"seed {csr.label(candidate)!r} alone overflows block "
@@ -397,52 +362,29 @@ def blocks_csr(
                         "different m?"
                     )
                 break
-            if closed_epoch[candidate] != epoch:
-                closed_epoch[candidate] = epoch
-                closed_chunks.append(np.array([candidate], dtype=np.int64))
-            closed_epoch[fresh] = epoch
-            closed_chunks.append(fresh)
-            closed_size += addition
-            is_candidate[candidate] = False
-            kernel_epoch[candidate] = epoch
+            closed.update(fresh)
+            state[candidate] = 2
             kernel.append(candidate)
-            grow = row[is_candidate[row]]
-            if len(grow):
-                # Rows are duplicate-free, so plain fancy-indexed updates
-                # are exact (no np.add.at needed).
-                first_seen = grow[count_epoch[grow] != epoch]
-                count_epoch[first_seen] = epoch
-                adj_count[first_seen] = 0
-                discovery[first_seen] = np.arange(
-                    next_seq, next_seq + len(first_seen), dtype=np.int64
-                )
-                next_seq += len(first_seen)
-                adj_count[grow] += 1
-                for count, seq, node in zip(
-                    adj_count[grow].tolist(), discovery[grow].tolist(), grow.tolist()
-                ):
-                    heapq.heappush(buckets.setdefault(count, []), (seq, node))
-                top = int(adj_count[grow].max())
-                if top > max_count:
-                    max_count = top
-            candidate = pop_best()
+            adjacency_count.pop(candidate, None)
+            for neighbor in row:
+                if state[neighbor] == 1:
+                    adjacency_count[neighbor] = adjacency_count.get(neighbor, 0) + 1
+            candidate = None
+            if adjacency_count:
+                best = max(adjacency_count, key=adjacency_count.__getitem__)
+                if adjacency_count[best] >= min_adjacency:
+                    candidate = best
 
-        kernel_ids = np.asarray(kernel, dtype=np.int64)
-        closed = np.concatenate(closed_chunks)
-        neighborhood = closed[kernel_epoch[closed] != epoch]
-        neighborhood.sort()
-        visited_mask = used_kernel[neighborhood]
-        visited_ids = neighborhood[visited_mask]
-        border_ids = neighborhood[~visited_mask]
-        used_kernel[kernel_ids] = True
+        closed.difference_update(kernel)
+        neighborhood = sorted(closed)
         yield BlockDescriptor(
             block_id=block_id,
-            kernel_ids=kernel_ids,
-            border_ids=border_ids,
-            visited_ids=visited_ids,
-            estimated_cost=estimate_analysis_cost(
-                closed_size,
-                induced_edge_count(indptr, indices, closed, scratch),
+            kernel_ids=np.array(kernel, dtype=np.int64),
+            border_ids=np.array(
+                [node for node in neighborhood if state[node] != 2], dtype=np.int64
+            ),
+            visited_ids=np.array(
+                [node for node in neighborhood if state[node] == 2], dtype=np.int64
             ),
         )
         block_id += 1

@@ -10,6 +10,12 @@ Each round (one "first-level decomposition" iteration):
 4. the next round recurses on the subgraph induced by the hubs, whose
    degrees are strongly reduced.
 
+Every driver mode runs steps 1, 2 and 4 through one walk
+(:class:`Decomposition`) over CSR snapshots: ``cut_csr`` →
+``blocks_csr`` → floor pricing → ``induced_csr``.  The barrier loop
+analyses each level's descriptors with one ``map_blocks`` call; the
+pipeline streams them into a worker pool as they are grown.
+
 When the recursion bottoms out, levels are merged bottom-up with the
 Lemma 1 filter: a deeper (hub-only) clique survives unless some
 shallower clique contains it.  Theorem 1 guarantees the recursion
@@ -23,14 +29,16 @@ from __future__ import annotations
 import time
 import warnings
 from collections import Counter
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 # analyze_block is unused here, but benchmarks/e2e/layertrace.py patches it
 # and fails without it; drop it once that tracer spans executor analysis.
 from repro.core.block_analysis import (  # noqa: F401
+    BlockDescriptor,
     analyze_block,
-    block_clique_bound,
     block_clique_bound_csr,
 )
 from repro.core.blocks import blocks_csr, build_blocks
@@ -100,7 +108,7 @@ def find_max_cliques(
         warn; ``"raise"`` — raise :class:`ConvergenceError` instead.
     min_adjacency:
         Density threshold for block growth (see
-        :func:`repro.core.blocks.build_blocks`).
+        :func:`repro.core.blocks.blocks_csr`).
     collect_reports:
         When true, keep every per-block :class:`BlockReport` (grouped by
         recursion level) on the result; the distributed simulator replays
@@ -112,15 +120,14 @@ def find_max_cliques(
         through a :class:`~repro.distributed.executor.SerialExecutor`.
         The clique output is identical for every executor.
     pipeline:
-        When true, run the CSR-native streaming decomposition instead of
-        the barrier loop: each level's graph lives as a CSR snapshot,
-        ``cut_csr``/``blocks_csr`` stream :class:`BlockDescriptor`\\ s
-        into the executor's worker pool while later levels are still
-        being decomposed, and no dict ``Graph`` is ever built for a
-        level or a block.  Requires a
+        When true, stream each level's :class:`BlockDescriptor`\\ s into
+        the executor's worker pool while the rest of the level and later
+        levels are still being decomposed, instead of analysing one
+        level at a time.  Both modes run the same decomposition over CSR
+        snapshots, so they produce the same blocks and a byte-identical
+        clique store.  Requires a
         :class:`~repro.distributed.executor.SharedMemoryExecutor` (one
-        is constructed when ``executor`` is ``None``).  The clique
-        output is identical to the barrier mode.
+        is constructed when ``executor`` is ``None``).
     split:
         Enable anchor-level splitting of straggler blocks (see
         ``docs/scheduling.md``): blocks whose estimated cost exceeds the
@@ -148,7 +155,7 @@ def find_max_cliques(
         cliques with at least this many members are returned.  Beyond
         filtering the output, the floor *prunes the search*: every block
         is priced with a cheap clique upper bound
-        (:func:`repro.core.block_analysis.block_clique_bound`) and
+        (:func:`repro.core.block_analysis.block_clique_bound_csr`) and
         skipped outright when the bound falls below the floor, and
         inside analysed blocks, anchors whose candidate neighbourhood
         cannot reach the floor are skipped before their Bron–Kerbosch
@@ -187,12 +194,7 @@ def find_max_cliques(
         With ``fallback="raise"`` when ``m`` is at most the degeneracy of
         the residual graph at some level.
     """
-    if m < 1:
-        raise ValueError("block size m must be at least 1")
-    if fallback not in FALLBACK_MODES:
-        raise ValueError(
-            f"unknown fallback mode {fallback!r}; known: {', '.join(FALLBACK_MODES)}"
-        )
+    _check_m_and_fallback(m, fallback)
     if resume and spill_dir is None:
         raise ValueError("resume=True requires spill_dir")
     if split_threshold is not None and not split:
@@ -207,14 +209,20 @@ def find_max_cliques(
         executor = _configure_split(executor, split_threshold, pipeline)
     if batch_blocks:
         executor = _configure_batch(executor, batch_cutoff, pipeline)
+    if executor is None:
+        from repro.distributed.executor import SerialExecutor, SharedMemoryExecutor
+
+        executor = SharedMemoryExecutor() if pipeline else SerialExecutor()
     if min_clique_size > 0:
         executor = _configure_prune(executor, min_clique_size)
     run_log: RunLog | None = None
     if spill_dir is not None:
-        # The floor changes which blocks are recorded, so it is part of
-        # the durable run's identity: resuming a floored run with a
-        # different floor must fail the fingerprint check.
-        mode = "pipeline" if pipeline else "barrier"
+        # Recorded block ids name the blocks_csr partition.  Barrier runs
+        # once recorded ids of a different partition under mode
+        # "barrier", so barrier runs carry "barrier/csr" and never
+        # resume such a directory.  The floor changes which blocks are
+        # recorded, so it is part of the run's identity too.
+        mode = "pipeline" if pipeline else "barrier/csr"
         if min_clique_size > 0:
             mode += f"+floor{min_clique_size}"
         run_log = RunLog(
@@ -228,192 +236,317 @@ def find_max_cliques(
             ),
             resume=resume,
         )
-    if pipeline:
-        try:
-            return _pipeline_enumerate(
-                graph,
-                m,
-                selection_tree,
-                combo,
-                fallback,
-                min_adjacency,
-                collect_reports,
-                executor,
-                run_log,
-                min_clique_size,
-            )
-        finally:
-            if run_log is not None:
-                run_log.close()
-
+    walk = Decomposition(m, fallback, min_adjacency, min_clique_size)
+    enumerate_levels = _pipeline_levels if pipeline else _barrier_levels
     try:
-        return _barrier_enumerate(
-            graph,
-            m,
+        levels = enumerate_levels(
+            walk, CSRGraph(graph), selection_tree, combo, executor, run_log
+        )
+        return _assemble(
+            walk,
+            levels,
             selection_tree,
             combo,
-            fallback,
-            min_adjacency,
             collect_reports,
+            min_clique_size,
             executor,
             run_log,
-            min_clique_size,
         )
     finally:
         if run_log is not None:
             run_log.close()
 
 
-def _barrier_enumerate(
-    graph: Graph,
-    m: int,
-    selection_tree: DecisionTree,
-    combo: Combo | None,
-    fallback: str,
-    min_adjacency: int,
-    collect_reports: bool,
-    executor,
-    run_log: RunLog | None,
-    min_clique_size: int = 0,
-) -> CliqueResult:
-    """The level-synchronous loop (every non-pipeline mode).
+def _check_m_and_fallback(m: int, fallback: str) -> None:
+    if m < 1:
+        raise ValueError("block size m must be at least 1")
+    if fallback not in FALLBACK_MODES:
+        raise ValueError(
+            f"unknown fallback mode {fallback!r}; known: {', '.join(FALLBACK_MODES)}"
+        )
 
-    With no ``executor`` given, each level runs through a
-    :class:`~repro.distributed.executor.SerialExecutor`, which analyses
-    the level's blocks over one CSR snapshot and records a trace.
+
+@dataclass
+class _Level:
+    """One recursion level: what the walk found and what analysis made of it.
+
+    ``block_ids`` lists the dispatched blocks (the floor-skipped ones are
+    absent) in emission order; ``reports`` follows it.
     """
-    if executor is None:
-        from repro.distributed.executor import SerialExecutor
 
-        executor = _configure_prune(SerialExecutor(), min_clique_size)
-    level_cliques: list[CliqueStore] = []
-    clique_index = GlobalCliqueIndex()
-    level_stats: list[LevelStats] = []
-    level_reports: list[list] = []
-    combo_counter: Counter[str] = Counter()
-    fallback_used = False
-    blocks_total = 0
-    blocks_skipped = 0
-    anchors_skipped = 0
-    bound_records: list[BlockBound] = []
+    level: int
+    num_nodes: int
+    num_edges: int
+    num_feasible: int
+    num_hubs: int
+    start: float
+    blocks: Iterator[BlockDescriptor] = field(default_factory=lambda: iter(()))
+    block_ids: list[int] = field(default_factory=list)
+    decomposition_seconds: float = 0.0
+    analysis_seconds: float = 0.0
+    reports: list = field(default_factory=list)
 
-    current = graph
-    level = 0
-    while current.num_nodes > 0:
-        decomposition_start = time.perf_counter()
-        feasible, hubs = cut(current, m)
-        if not feasible:
-            if fallback == "raise":
-                raise ConvergenceError(
-                    f"no feasible node at recursion level {level}: block size "
-                    f"{m} does not exceed the degeneracy of the residual "
-                    f"graph ({current.num_nodes} nodes remain)",
-                    core_size=current.num_nodes,
+    def stats(self, cliques_found: int, fallback_used: bool = False) -> LevelStats:
+        return LevelStats(
+            level=self.level,
+            num_nodes=self.num_nodes,
+            num_edges=self.num_edges,
+            num_feasible=self.num_feasible,
+            num_hubs=self.num_hubs,
+            num_blocks=len(self.block_ids),
+            decomposition_seconds=self.decomposition_seconds,
+            analysis_seconds=self.analysis_seconds,
+            cliques_found=cliques_found,
+            fallback_used=fallback_used,
+        )
+
+
+class Decomposition:
+    """Alg. 1's recursion over CSR snapshots, one level at a time.
+
+    :meth:`levels` walks down from the input's CSR and yields each level
+    with its CSR: ``cut_csr`` splits it, ``induced_csr`` builds the next
+    level from the hubs, and
+    ``level.blocks`` streams the ``blocks_csr`` descriptors that survive
+    the floor (blocks whose ``block_clique_bound_csr`` falls below
+    ``min_clique_size`` are recorded in :attr:`bounds` and skipped).
+    Consume a level's blocks before asking for the next level.  A level
+    with no feasible node ends the walk: ``fallback="raise"`` raises
+    :class:`ConvergenceError`, otherwise the residual core is kept in
+    :attr:`residual` with its level.
+    """
+
+    def __init__(
+        self,
+        m: int,
+        fallback: str,
+        min_adjacency: int = 1,
+        min_clique_size: int = 0,
+        seed_order: str = "insertion",
+    ) -> None:
+        self.m = m
+        self.fallback = fallback
+        self.min_adjacency = min_adjacency
+        self.min_clique_size = min_clique_size
+        self.seed_order = seed_order
+        self.blocks_total = 0
+        self.blocks_skipped = 0
+        self.bounds: list[BlockBound] = []
+        self.residual: tuple[_Level, CSRGraph] | None = None
+
+    def levels(self, current: CSRGraph) -> Iterator[tuple[_Level, CSRGraph]]:
+        level = 0
+        while current.num_nodes > 0:
+            start = time.perf_counter()
+            feasible_ids, hub_ids = cut_csr(current, self.m)
+            if not len(feasible_ids):
+                if self.fallback == "raise":
+                    raise ConvergenceError(
+                        f"no feasible node at recursion level {level}: block "
+                        f"size {self.m} does not exceed the degeneracy of the "
+                        f"residual graph ({current.num_nodes} nodes remain)",
+                        core_size=current.num_nodes,
+                    )
+                core = _Level(
+                    level,
+                    current.num_nodes,
+                    current.num_edges,
+                    0,
+                    current.num_nodes,
+                    start,
+                    decomposition_seconds=time.perf_counter() - start,
                 )
-            warnings.warn(
-                f"FIND-MAX-CLIQUES did not converge at level {level} "
-                f"(m={m} <= degeneracy of the residual core of "
-                f"{current.num_nodes} nodes); falling back to exact "
-                "enumeration on the core",
-                RuntimeWarning,
-                stacklevel=2,
+                self.residual = (core, current)
+                return
+            next_csr = induced_csr(current, hub_ids) if len(hub_ids) else None
+            info = _Level(
+                level,
+                current.num_nodes,
+                current.num_edges,
+                len(feasible_ids),
+                len(hub_ids),
+                start,
             )
-            decomposition_seconds = time.perf_counter() - decomposition_start
-            cliques, analysis_seconds, used = _exact_core(
-                current, selection_tree, combo
-            )
-            cliques = filter_min_size(clique_index.add(cliques), min_clique_size)
-            combo_counter[used.name] += 1
-            level_cliques.append(cliques)
-            level_stats.append(
-                LevelStats(
-                    level=level,
-                    num_nodes=current.num_nodes,
-                    num_edges=current.num_edges,
-                    num_feasible=0,
-                    num_hubs=current.num_nodes,
-                    num_blocks=0,
-                    decomposition_seconds=decomposition_seconds,
-                    analysis_seconds=analysis_seconds,
-                    cliques_found=len(cliques),
-                    fallback_used=True,
-                )
-            )
-            fallback_used = True
-            break
+            info.blocks = self._kept(info, current, feasible_ids)
+            yield info, current
+            if next_csr is None:
+                return
+            current = next_csr
+            level += 1
 
-        blocks = build_blocks(current, feasible, m, min_adjacency=min_adjacency)
-        blocks_total += len(blocks)
-        level_bounds: list[BlockBound] = []
-        if min_clique_size > 1:
-            # Price every block before dispatch; a block whose bound
-            # falls below the floor cannot emit a surviving clique, so
-            # it never reaches an executor at all.
-            kept = []
-            for block_id, block in enumerate(blocks):
-                bound = block_clique_bound(block)
-                skipped = bound < min_clique_size
-                level_bounds.append(
+    def _kept(
+        self, info: _Level, csr: CSRGraph, feasible_ids
+    ) -> Iterator[BlockDescriptor]:
+        floor = self.min_clique_size
+        scratch = BitmapScratch() if floor > 1 else None
+        for descriptor in blocks_csr(
+            csr,
+            feasible_ids,
+            self.m,
+            min_adjacency=self.min_adjacency,
+            seed_order=self.seed_order,
+        ):
+            self.blocks_total += 1
+            if floor > 1:
+                # A block whose bound falls below the floor cannot emit
+                # a surviving clique, so it never reaches an executor.
+                bound = block_clique_bound_csr(
+                    descriptor, csr.indptr, csr.indices, scratch
+                )
+                skipped = bound < floor
+                self.bounds.append(
                     BlockBound(
-                        level=level,
-                        block_id=block_id,
+                        level=info.level,
+                        block_id=descriptor.block_id,
                         bound=bound,
-                        floor=min_clique_size,
+                        floor=floor,
                         skipped=skipped,
                     )
                 )
                 if skipped:
-                    blocks_skipped += 1
-                else:
-                    kept.append(block)
-            blocks = kept
-            bound_records.extend(level_bounds)
-        decomposition_seconds = time.perf_counter() - decomposition_start
+                    self.blocks_skipped += 1
+                    continue
+            info.block_ids.append(descriptor.block_id)
+            yield descriptor
 
+
+def _barrier_levels(
+    walk: Decomposition,
+    csr: CSRGraph,
+    selection_tree: DecisionTree,
+    combo: Combo | None,
+    executor,
+    run_log: RunLog | None,
+) -> list[_Level]:
+    """The level-synchronous loop: one ``map_blocks`` call per level."""
+    levels: list[_Level] = []
+    for level, csr in walk.levels(csr):
+        descriptors = list(level.blocks)
         analysis_start = time.perf_counter()
-        reports = executor.map_blocks(
-            blocks,
+        level.decomposition_seconds = analysis_start - level.start
+        level.reports = executor.map_blocks(
+            descriptors,
+            csr,
             tree=selection_tree,
             combo=combo,
-            graph=current,
             run_log=run_log,
-            level=level,
+            level=level.level,
         )
-        cliques = _level_cliques_of(reports, clique_index)
-        analysis_seconds = time.perf_counter() - analysis_start
-        cliques = filter_min_size(cliques, min_clique_size)
-        for report in reports:
+        level.analysis_seconds = time.perf_counter() - analysis_start
+        levels.append(level)
+    return levels
+
+
+def _pipeline_levels(
+    walk: Decomposition,
+    csr: CSRGraph,
+    selection_tree: DecisionTree,
+    combo: Combo | None,
+    executor,
+    run_log: RunLog | None,
+) -> list[_Level]:
+    """The streaming loop: descriptors enter the pool as they are grown.
+
+    Each level's CSR is published before its blocks stream into the
+    :class:`~repro.distributed.executor.PipelineSession`, whose workers
+    analyse them while later levels are still being decomposed; the
+    single synchronization point is ``session.finish()`` after the
+    *last* level.  A level's ``analysis_seconds`` is therefore the
+    serial-equivalent sum of its per-block times, not a wall-clock
+    interval (blocks of different levels overlap by design).
+    """
+    from repro.distributed.executor import SharedMemoryExecutor
+
+    if not isinstance(executor, SharedMemoryExecutor):
+        raise ExecutorError(
+            "pipeline mode streams BlockDescriptors over shared memory and "
+            f"requires a SharedMemoryExecutor, got {type(executor).__name__}"
+        )
+    levels: list[_Level] = []
+    session = executor.open_pipeline(
+        tree=selection_tree, combo=combo, run_log=run_log
+    )
+    try:
+        for level, csr in walk.levels(csr):
+            session.publish_level(level.level, csr)
+            for descriptor in level.blocks:
+                session.submit(level.level, descriptor)
+            level.decomposition_seconds = time.perf_counter() - level.start
+            session.end_level(
+                level.level,
+                level.decomposition_seconds,
+                len(level.block_ids),
+                level.num_feasible,
+                level.num_hubs,
+            )
+            levels.append(level)
+        grouped = session.finish()
+    finally:
+        session.close()
+    for level in levels:
+        by_id = grouped.get(level.level, {})
+        level.reports = [by_id[block_id] for block_id in level.block_ids]
+        level.analysis_seconds = sum(report.seconds for report in level.reports)
+    return levels
+
+
+def _assemble(
+    walk: Decomposition,
+    levels: list[_Level],
+    selection_tree: DecisionTree,
+    combo: Combo | None,
+    collect_reports: bool,
+    min_clique_size: int,
+    executor,
+    run_log: RunLog | None,
+) -> CliqueResult:
+    """The :class:`CliqueResult` of a walk whose levels were analysed.
+
+    Each level's cliques join the run-wide id space in level order, a
+    non-convergent residual core is enumerated exactly (with a warning)
+    as the last level, and the levels merge bottom-up under Lemma 1.
+    """
+    level_cliques: list[CliqueStore] = []
+    level_stats: list[LevelStats] = []
+    level_reports: list[list] = []
+    combo_counter: Counter[str] = Counter()
+    clique_index = GlobalCliqueIndex()
+    anchors_skipped = 0
+    for level in levels:
+        cliques = filter_min_size(
+            _level_cliques_of(level.reports, clique_index), min_clique_size
+        )
+        for report in level.reports:
             combo_counter[report.combo.name] += 1
             anchors_skipped += int(report.extra.get("anchors_skipped", 0.0))
         if collect_reports:
-            level_reports.append(reports)
-
+            level_reports.append(level.reports)
         level_cliques.append(cliques)
-        level_stats.append(
-            LevelStats(
-                level=level,
-                num_nodes=current.num_nodes,
-                num_edges=current.num_edges,
-                num_feasible=len(feasible),
-                num_hubs=len(hubs),
-                num_blocks=len(blocks),
-                decomposition_seconds=decomposition_seconds,
-                analysis_seconds=analysis_seconds,
-                cliques_found=len(cliques),
-            )
+        level_stats.append(level.stats(len(cliques)))
+    if walk.residual is not None:
+        level, core = walk.residual
+        warnings.warn(
+            f"FIND-MAX-CLIQUES did not converge at level {level.level} "
+            f"(m={walk.m} <= degeneracy of the residual core of "
+            f"{core.num_nodes} nodes); falling back to exact "
+            "enumeration on the core",
+            RuntimeWarning,
+            stacklevel=3,
         )
-        if not hubs:
-            break
-        current = induced_subgraph(current, hubs)
-        level += 1
-
+        cliques, level.analysis_seconds, used = _exact_core(
+            core.to_graph(), selection_tree, combo
+        )
+        combo_counter[used.name] += 1
+        cliques = filter_min_size(clique_index.add(cliques), min_clique_size)
+        level_cliques.append(cliques)
+        level_stats.append(level.stats(len(cliques), fallback_used=True))
     store = _lemma1_merge(level_cliques)
     # The executor's trace is reset on every map_blocks call, so the
-    # per-level bound records are replayed into the *final* trace here —
-    # after the loop — where they describe the whole run.
+    # bound records are replayed into the *final* trace, where they
+    # describe the whole run.
     trace = getattr(executor, "last_trace", None)
     if trace is not None:
-        for record in bound_records:
+        for record in walk.bounds:
             trace.record_bound(record)
     run_info = None
     if run_log is not None:
@@ -422,13 +555,13 @@ def _barrier_enumerate(
     return CliqueResult(
         store=store,
         levels=level_stats,
-        m=m,
-        fallback_used=fallback_used,
+        m=walk.m,
+        fallback_used=walk.residual is not None,
         block_combos=dict(combo_counter),
         block_reports=level_reports,
         run_info=run_info,
         pruning=_pruning_info(
-            min_clique_size, blocks_total, blocks_skipped, anchors_skipped
+            min_clique_size, walk.blocks_total, walk.blocks_skipped, anchors_skipped
         ),
     )
 
@@ -466,23 +599,23 @@ def _run_info(run_log: RunLog) -> dict:
 def decompose_only(
     graph: Graph, m: int, min_adjacency: int = 1, fallback: str = "exact"
 ) -> tuple[list[LevelStats], int]:
-    """Run only the two-level decomposition, skipping clique analysis.
+    """The dict-``Graph`` reference decomposition, skipping clique analysis.
 
-    Used by the Figure 7 benchmark, which times decomposition in
-    isolation.  Returns the per-level statistics (analysis fields zeroed)
-    and the number of first-level iterations performed.
+    Alg. 2/3 as the paper writes them, over ``Graph`` objects: ``cut``,
+    ``build_blocks`` and ``induced_subgraph`` per level.  No driver mode
+    runs this walk (they run :func:`decompose_only_csr`'s); the
+    paper-figure benchmarks time it and the tests compare against it.
+    Its partition may differ from the driver's, but the per-level
+    node, edge, feasible and hub counts do not.  Returns the per-level
+    statistics (analysis fields zeroed) and the number of first-level
+    iterations performed.
 
     Raises
     ------
     ConvergenceError
         With ``fallback="raise"`` on a non-convergent ``m``.
     """
-    if m < 1:
-        raise ValueError("block size m must be at least 1")
-    if fallback not in FALLBACK_MODES:
-        raise ValueError(
-            f"unknown fallback mode {fallback!r}; known: {', '.join(FALLBACK_MODES)}"
-        )
+    _check_m_and_fallback(m, fallback)
     stats: list[LevelStats] = []
     current = graph
     level = 0
@@ -546,9 +679,9 @@ def _configure_batch(executor, batch_cutoff: int | None, pipeline: bool):
     """Apply the driver's batching settings to the executor.
 
     Batched dispatch is implemented by the serial and shared-memory
-    executors (the process executor pickles whole ``Block`` objects and
-    has no shared CSR to pack buckets from); asking for it elsewhere is
-    an error rather than a silent no-op.  With no executor given, a
+    executors (the process executor maps single descriptors and has no
+    bucket path); asking for it elsewhere is an error rather than a
+    silent no-op.  With no executor given, a
     batching :class:`~repro.distributed.executor.SerialExecutor` (or, in
     pipeline mode, a :class:`~repro.distributed.executor.SharedMemoryExecutor`)
     is constructed.
@@ -584,219 +717,6 @@ def _configure_prune(executor, min_clique_size: int):
     return executor
 
 
-def _pipeline_enumerate(
-    graph: Graph,
-    m: int,
-    selection_tree: DecisionTree,
-    combo: Combo | None,
-    fallback: str,
-    min_adjacency: int,
-    collect_reports: bool,
-    executor,
-    run_log: RunLog | None = None,
-    min_clique_size: int = 0,
-) -> CliqueResult:
-    """The streaming CSR-native twin of the barrier loop.
-
-    Decomposition (``cut_csr`` → ``blocks_csr`` → ``induced_csr``) runs
-    level by level in the parent while the
-    :class:`~repro.distributed.executor.PipelineSession` workers consume
-    descriptors concurrently; the single synchronization point is
-    ``session.finish()`` after the *last* level is decomposed.  Per-level
-    ``analysis_seconds`` is therefore the serial-equivalent sum of the
-    per-block times, not a wall-clock interval (blocks of different
-    levels overlap by design).
-    """
-    from repro.distributed.executor import SharedMemoryExecutor
-
-    if executor is None:
-        executor = SharedMemoryExecutor()
-        if min_clique_size > 0:
-            executor = _configure_prune(executor, min_clique_size)
-    if not isinstance(executor, SharedMemoryExecutor):
-        raise ExecutorError(
-            "pipeline mode streams BlockDescriptors over shared memory and "
-            f"requires a SharedMemoryExecutor, got {type(executor).__name__}"
-        )
-
-    level_meta: list[tuple[int, int, int, int, int, list[int], float]] = []
-    fallback_level: tuple[int, int, int, float, float, list, Combo] | None = None
-    fallback_used = False
-    blocks_total = 0
-    blocks_skipped = 0
-    anchors_skipped = 0
-    bound_scratch = BitmapScratch() if min_clique_size > 1 else None
-
-    session = executor.open_pipeline(
-        tree=selection_tree, combo=combo, run_log=run_log
-    )
-    try:
-        current = CSRGraph(graph)
-        level = 0
-        while current.num_nodes > 0:
-            decomposition_start = time.perf_counter()
-            feasible_ids, hub_ids = cut_csr(current, m)
-            if not len(feasible_ids):
-                if fallback == "raise":
-                    raise ConvergenceError(
-                        f"no feasible node at recursion level {level}: block "
-                        f"size {m} does not exceed the degeneracy of the "
-                        f"residual graph ({current.num_nodes} nodes remain)",
-                        core_size=current.num_nodes,
-                    )
-                warnings.warn(
-                    f"FIND-MAX-CLIQUES did not converge at level {level} "
-                    f"(m={m} <= degeneracy of the residual core of "
-                    f"{current.num_nodes} nodes); falling back to exact "
-                    "enumeration on the core",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                decomposition_seconds = time.perf_counter() - decomposition_start
-                cliques, analysis_seconds, used = _exact_core(
-                    current.to_graph(), selection_tree, combo
-                )
-                fallback_level = (
-                    level,
-                    current.num_nodes,
-                    current.num_edges,
-                    decomposition_seconds,
-                    analysis_seconds,
-                    cliques,
-                    used,
-                )
-                fallback_used = True
-                break
-            session.publish_level(level, current)
-            num_blocks = 0
-            submitted: list[int] = []
-            for descriptor in blocks_csr(
-                current, feasible_ids, m, min_adjacency=min_adjacency
-            ):
-                block_id = descriptor.block_id
-                num_blocks += 1
-                blocks_total += 1
-                if min_clique_size > 1:
-                    # Price the descriptor before it enters the worker
-                    # stream; a below-floor block is never submitted.
-                    bound = block_clique_bound_csr(
-                        descriptor,
-                        current.indptr,
-                        current.indices,
-                        bound_scratch,
-                    )
-                    skipped = bound < min_clique_size
-                    session.trace.record_bound(
-                        BlockBound(
-                            level=level,
-                            block_id=block_id,
-                            bound=bound,
-                            floor=min_clique_size,
-                            skipped=skipped,
-                        )
-                    )
-                    if skipped:
-                        blocks_skipped += 1
-                        continue
-                session.submit(level, descriptor)
-                submitted.append(block_id)
-            next_csr = induced_csr(current, hub_ids) if len(hub_ids) else None
-            decomposition_seconds = time.perf_counter() - decomposition_start
-            session.end_level(
-                level,
-                decomposition_seconds,
-                len(submitted),
-                len(feasible_ids),
-                len(hub_ids),
-            )
-            level_meta.append(
-                (
-                    level,
-                    current.num_nodes,
-                    current.num_edges,
-                    len(feasible_ids),
-                    len(hub_ids),
-                    submitted,
-                    decomposition_seconds,
-                )
-            )
-            if next_csr is None:
-                break
-            current = next_csr
-            level += 1
-        grouped = session.finish()
-    finally:
-        session.close()
-
-    level_cliques: list[CliqueStore] = []
-    level_stats: list[LevelStats] = []
-    level_reports: list[list] = []
-    combo_counter: Counter[str] = Counter()
-    clique_index = GlobalCliqueIndex()
-    for level, nodes, edges, feasible, hubs, submitted, seconds in level_meta:
-        by_id = grouped.get(level, {})
-        reports = [by_id[i] for i in submitted]
-        cliques = filter_min_size(
-            _level_cliques_of(reports, clique_index), min_clique_size
-        )
-        for report in reports:
-            combo_counter[report.combo.name] += 1
-            anchors_skipped += int(report.extra.get("anchors_skipped", 0.0))
-        if collect_reports:
-            level_reports.append(reports)
-        level_cliques.append(cliques)
-        level_stats.append(
-            LevelStats(
-                level=level,
-                num_nodes=nodes,
-                num_edges=edges,
-                num_feasible=feasible,
-                num_hubs=hubs,
-                num_blocks=len(submitted),
-                decomposition_seconds=seconds,
-                analysis_seconds=sum(report.seconds for report in reports),
-                cliques_found=len(cliques),
-            )
-        )
-    if fallback_level is not None:
-        level, nodes, edges, dec_seconds, ana_seconds, cliques, used = fallback_level
-        combo_counter[used.name] += 1
-        cliques = filter_min_size(clique_index.add(cliques), min_clique_size)
-        level_cliques.append(cliques)
-        level_stats.append(
-            LevelStats(
-                level=level,
-                num_nodes=nodes,
-                num_edges=edges,
-                num_feasible=0,
-                num_hubs=nodes,
-                num_blocks=0,
-                decomposition_seconds=dec_seconds,
-                analysis_seconds=ana_seconds,
-                cliques_found=len(cliques),
-                fallback_used=True,
-            )
-        )
-
-    store = _lemma1_merge(level_cliques)
-    run_info = None
-    if run_log is not None:
-        run_log.finalize()
-        run_info = _run_info(run_log)
-    return CliqueResult(
-        store=store,
-        levels=level_stats,
-        m=m,
-        fallback_used=fallback_used,
-        block_combos=dict(combo_counter),
-        block_reports=level_reports,
-        run_info=run_info,
-        pruning=_pruning_info(
-            min_clique_size, blocks_total, blocks_skipped, anchors_skipped
-        ),
-    )
-
-
 def decompose_only_csr(
     graph: Graph | CSRGraph,
     m: int,
@@ -804,68 +724,32 @@ def decompose_only_csr(
     seed_order: str = "insertion",
     fallback: str = "exact",
 ) -> tuple[list[LevelStats], int]:
-    """CSR-native twin of :func:`decompose_only` (no clique analysis).
+    """The driver's decomposition walk, without clique analysis.
 
-    Runs ``cut_csr`` → ``blocks_csr`` → ``induced_csr`` per level,
-    consuming the descriptor stream without dispatching it.  Accepts a
-    dict ``Graph`` (converted once up front) or an existing
-    :class:`CSRGraph`; the per-level statistics mirror
-    :func:`decompose_only`, so the decomposition benchmark compares the
-    two paths like for like.
+    Runs ``cut_csr`` → ``blocks_csr`` → ``induced_csr`` per level
+    exactly as :func:`find_max_cliques` does, consuming the descriptor
+    stream without dispatching it.  Accepts a dict ``Graph`` (converted
+    once up front) or an existing :class:`CSRGraph`; the per-level
+    statistics mirror :func:`decompose_only`, so the decomposition
+    benchmark compares the two paths like for like.  A non-convergent
+    level ends the walk quietly under ``fallback="exact"``.
 
     Raises
     ------
     ConvergenceError
         With ``fallback="raise"`` on a non-convergent ``m``.
     """
-    if m < 1:
-        raise ValueError("block size m must be at least 1")
-    if fallback not in FALLBACK_MODES:
-        raise ValueError(
-            f"unknown fallback mode {fallback!r}; known: {', '.join(FALLBACK_MODES)}"
-        )
-    current = graph if isinstance(graph, CSRGraph) else CSRGraph(graph)
+    _check_m_and_fallback(m, fallback)
+    walk = Decomposition(
+        m, fallback, min_adjacency=min_adjacency, seed_order=seed_order
+    )
+    csr = graph if isinstance(graph, CSRGraph) else CSRGraph(graph)
     stats: list[LevelStats] = []
-    level = 0
-    while current.num_nodes > 0:
-        start = time.perf_counter()
-        feasible_ids, hub_ids = cut_csr(current, m)
-        if not len(feasible_ids):
-            if fallback == "raise":
-                raise ConvergenceError(
-                    f"no feasible node at recursion level {level}",
-                    core_size=current.num_nodes,
-                )
-            break
-        num_blocks = sum(
-            1
-            for _ in blocks_csr(
-                current,
-                feasible_ids,
-                m,
-                min_adjacency=min_adjacency,
-                seed_order=seed_order,
-            )
-        )
-        next_csr = induced_csr(current, hub_ids) if len(hub_ids) else None
-        seconds = time.perf_counter() - start
-        stats.append(
-            LevelStats(
-                level=level,
-                num_nodes=current.num_nodes,
-                num_edges=current.num_edges,
-                num_feasible=len(feasible_ids),
-                num_hubs=len(hub_ids),
-                num_blocks=num_blocks,
-                decomposition_seconds=seconds,
-                analysis_seconds=0.0,
-                cliques_found=0,
-            )
-        )
-        if next_csr is None:
-            break
-        current = next_csr
-        level += 1
+    for level, _ in walk.levels(csr):
+        for _ in level.blocks:
+            pass
+        level.decomposition_seconds = time.perf_counter() - level.start
+        stats.append(level.stats(0))
     return stats, len(stats)
 
 

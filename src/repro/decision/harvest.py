@@ -31,12 +31,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.decision.features import FEATURE_NAMES, BlockFeatures
 from repro.errors import TrainingError
 from repro.graph.adjacency import Graph
 from repro.mce.instrumentation import ExecutionTrace
 from repro.mce.registry import ALL_COMBOS, Combo
+
+if TYPE_CHECKING:  # pragma: no cover - block_analysis imports the decision layer
+    from repro.core.block_analysis import BlockDescriptor, BlockReport
+    from repro.graph.csr import CSRGraph
 
 # extra-dict flags worth keeping on a row: the dispatch knobs in effect
 # when the measurement was taken (a batched measurement of a block is
@@ -191,7 +196,7 @@ def rows_from_run_dir(spill_dir: str | Path) -> list[TrainingRow]:
 
 
 def counterfactual_rows(
-    blocks: "list[tuple[int, int, object]]",
+    blocks: "list[tuple[int, int, LevelBlock]]",
     combos: tuple[Combo, ...] = ALL_COMBOS,
     repeats: int = 1,
 ) -> list[TrainingRow]:
@@ -211,8 +216,6 @@ def counterfactual_rows(
         On an empty combo tuple, a non-positive ``repeats``, or a
         clique-set disagreement between combos.
     """
-    from repro.core.block_analysis import analyze_block
-
     if not combos:
         raise TrainingError("no combinations to compare")
     if repeats < 1:
@@ -223,7 +226,7 @@ def counterfactual_rows(
         for combo in combos:
             best = float("inf")
             for _ in range(repeats):
-                report = analyze_block(block, combo=combo)
+                report = block.analyze(combo)
                 best = min(best, report.seconds)
             cliques = {frozenset(clique) for clique in report.cliques}
             if reference is None:
@@ -247,46 +250,56 @@ def counterfactual_rows(
     return rows
 
 
+@dataclass(frozen=True, eq=False)
+class LevelBlock:
+    """One block a run dispatches: a priced descriptor and its level CSR."""
+
+    descriptor: "BlockDescriptor"
+    csr: "CSRGraph"
+
+    def analyze(self, combo: Combo | None = None) -> "BlockReport":
+        """The driver's analysis of this block (``analyze_block_csr``)."""
+        from repro.core.block_analysis import analyze_block_csr
+
+        csr = self.csr
+        return analyze_block_csr(
+            self.descriptor, csr.indptr, csr.indices, csr.labels, combo=combo
+        )
+
+
 def workload_blocks(
     graph: Graph, m: int, min_adjacency: int = 1
-) -> "list[tuple[int, int, object]]":
+) -> "list[tuple[int, int, LevelBlock]]":
     """Every ``(level, block_id, block)`` the decomposition would run.
 
-    Mirrors the driver's barrier loop (CUT → BLOCKS → recurse on hubs)
-    without analysing anything, so the counterfactual sampler can put
-    its hands on the actual :class:`~repro.core.blocks.Block` objects a
-    run of ``find_max_cliques(graph, m)`` dispatches.  A level with no
-    feasible node ends the walk (the driver's exact-fallback regime has
-    no blocks to harvest).
+    Walks the driver's own decomposition
+    (:class:`repro.core.driver.Decomposition`) without analysing
+    anything, so each ``(level, block_id)`` names the block that a run
+    of ``find_max_cliques(graph, m)`` reports under the same key.  A
+    level with no feasible node ends the walk (the driver's
+    exact-fallback regime has no blocks to harvest).
     """
-    from repro.core.blocks import build_blocks
-    from repro.core.feasibility import cut
-    from repro.graph.views import induced_subgraph
+    from repro.core.driver import Decomposition
+    from repro.graph.csr import CSRGraph
 
-    out: list[tuple[int, int, object]] = []
-    current = graph
-    level = 0
-    while current.num_nodes > 0:
-        feasible, hubs = cut(current, m)
-        if not feasible:
-            break
-        blocks = build_blocks(current, feasible, m, min_adjacency=min_adjacency)
-        for block_id, block in enumerate(blocks):
-            out.append((level, block_id, block))
-        current = induced_subgraph(current, hubs)
-        level += 1
+    out: list[tuple[int, int, LevelBlock]] = []
+    walk = Decomposition(m, "exact", min_adjacency=min_adjacency)
+    for level, csr in walk.levels(CSRGraph(graph)):
+        for descriptor in level.blocks:
+            block = LevelBlock(descriptor.priced(csr), csr)
+            out.append((level.level, descriptor.block_id, block))
     return out
 
 
 def sample_blocks(
-    blocks: "list[tuple[int, int, object]]",
+    blocks: "list[tuple[int, int, LevelBlock]]",
     sample: int,
     seed: int = 0,
-) -> "list[tuple[int, int, object]]":
+) -> "list[tuple[int, int, LevelBlock]]":
     """A deterministic sample of blocks, biased toward the expensive end.
 
-    Half the budget goes to the costliest blocks (by the features-based
-    estimate — they dominate total analysis time, so their labels
+    Half the budget goes to the costliest blocks (by the descriptors'
+    estimated cost — they dominate total analysis time, so their labels
     matter most), the rest to a uniform draw over the remainder so
     small-block regimes stay represented.
     """
@@ -294,7 +307,7 @@ def sample_blocks(
         return list(blocks)
     by_cost = sorted(
         blocks,
-        key=lambda item: BlockFeatures.of(item[2].graph).estimated_cost(),
+        key=lambda item: item[2].descriptor.estimated_cost,
         reverse=True,
     )
     top = by_cost[: max(1, sample // 2)]

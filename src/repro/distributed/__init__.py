@@ -48,9 +48,11 @@ from repro.distributed.streaming import (
 from repro.distributed.simulation import (
     SimulatedRun,
     block_bytes,
+    descriptor_bytes,
     scaling_curve,
     simulate_level,
     simulate_reports,
+    simulate_tasks,
 )
 
 __all__ = [
@@ -91,7 +93,9 @@ __all__ = [
     "partition_ldg",
     "SimulatedRun",
     "block_bytes",
+    "descriptor_bytes",
     "scaling_curve",
     "simulate_level",
     "simulate_reports",
+    "simulate_tasks",
 ]

@@ -1,14 +1,18 @@
 """Execution strategies for independent block analyses.
 
 The decomposition's blocks are self-contained, so analysing them is an
-embarrassingly parallel map.  Four executors share one interface
-(``map_blocks``):
+embarrassingly parallel map.  Four executors share one interface,
+``map_blocks(descriptors, csr, ...)``: one recursion level's
+:class:`~repro.core.block_analysis.BlockDescriptor` s plus the level
+CSR snapshot they index, answered by one report per descriptor, in
+order.  Results, trace records and spill records are keyed by
+``descriptor.block_id``.
 
 * :class:`SerialExecutor` — the deterministic reference; used by the
   driver and by every test;
 * :class:`ProcessExecutor` — real parallelism on the local machine via
-  ``concurrent.futures``; blocks and reports are pickled across the
-  process boundary;
+  ``concurrent.futures``; each worker receives the level CSR once and
+  descriptors and reports are pickled across the process boundary;
 * :class:`SharedMemoryExecutor` — real parallelism with zero-copy
   dispatch: the level graph is published once as CSR arrays in POSIX
   shared memory, workers attach to it, and each block travels as a
@@ -57,7 +61,6 @@ from repro.core.block_analysis import (
     BlockReport,
     SplitResult,
     SubtaskDescriptor,
-    analyze_block,
     analyze_block_csr,
     analyze_block_csr_splittable,
     analyze_bucket_csr,
@@ -67,7 +70,6 @@ from repro.core.block_analysis import (
     merge_fragment_reports,
     padded_size,
 )
-from repro.graph.csr import BitmapScratch
 from repro.core.blocks import Block
 from repro.decision.features import adaptive_batch_cutoff, adaptive_split_threshold
 from repro.decision.tree import DecisionTree
@@ -78,10 +80,14 @@ from repro.distributed.scheduler import (
     StreamingLPTBuffer,
     lpt_order,
 )
-from repro.distributed.simulation import SimulatedRun, simulate_level
+from repro.distributed.simulation import (
+    SimulatedRun,
+    descriptor_bytes,
+    simulate_tasks,
+)
 from repro.errors import ExecutorError
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph, SharedCSR, SharedCSRHandle
+from repro.graph.csr import BitmapScratch, CSRGraph, SharedCSR, SharedCSRHandle
 from repro.mce.instrumentation import (
     BatchDispatch,
     BlockTiming,
@@ -146,9 +152,8 @@ class SerialExecutor:
     """Analyse blocks one after another in the calling process.
 
     The default executor of :func:`repro.core.driver.find_max_cliques`:
-    each call analyses the level's blocks as descriptors over one level
-    CSR (:func:`_level_descriptors`, as :class:`SharedMemoryExecutor`
-    does), never through a per-block ``Graph``, and records an
+    each call analyses the level's descriptors over the level CSR,
+    never through a per-block ``Graph``, and records an
     :class:`~repro.mce.instrumentation.ExecutionTrace` on
     :attr:`last_trace`.
 
@@ -170,28 +175,25 @@ class SerialExecutor:
 
     def map_blocks(
         self,
-        blocks: list[Block],
+        descriptors: list[BlockDescriptor],
+        csr: CSRGraph,
         tree: DecisionTree | None = None,
         combo: Combo | None = None,
-        graph: Graph | None = None,
         run_log: RunLog | None = None,
         level: int = 0,
     ) -> list[BlockReport]:
-        """Return one :class:`BlockReport` per block, in block order.
+        """Return one :class:`BlockReport` per descriptor, in order.
 
-        ``graph`` should be the level graph the blocks were cut from
-        (see :func:`_level_descriptors`).  Blocks ``run_log`` already
-        holds are replayed; the level CSR is built only when some block
-        is still pending, so resuming a finished run does no extra work.
+        ``csr`` is the level snapshot the descriptors index.  Blocks
+        ``run_log`` already holds are replayed, not analysed.
         """
         trace = ExecutionTrace()
         self.last_trace = trace
         results: dict[int, BlockReport] = {}
-        pending_ids = _replay_completed(len(blocks), run_log, level, trace, results)
-        if not pending_ids:
-            return [results[i] for i in range(len(blocks))]
+        pending = _replay_completed(descriptors, run_log, level, trace, results)
+        if not pending:
+            return _in_order(descriptors, results)
         scratch = BitmapScratch()
-        csr, pending = _level_descriptors(blocks, graph, pending_ids)
         if self.batch_blocks:
             buckets, singles = form_buckets(
                 pending, _batch_cutoff(self.batch_cutoff, pending)
@@ -224,42 +226,34 @@ class SerialExecutor:
                     min_clique_size=self.min_clique_size,
                 ),
             )
-        return [results[i] for i in range(len(blocks))]
+        return _in_order(descriptors, results)
 
 
 def _replay_completed(
-    num_blocks: int,
+    descriptors: list[BlockDescriptor],
     run_log: RunLog | None,
     level: int,
     trace: ExecutionTrace,
     results: dict[int, BlockReport],
-) -> list[int]:
-    """Replay the blocks ``run_log`` already holds; return the others' ids."""
-    pending: list[int] = []
-    for block_id in range(num_blocks):
+) -> list[BlockDescriptor]:
+    """Replay the blocks ``run_log`` already holds; return the others."""
+    pending: list[BlockDescriptor] = []
+    for descriptor in descriptors:
+        block_id = descriptor.block_id
         if run_log is not None and run_log.is_completed(level, block_id):
             report = run_log.replay_report(level, block_id)
             results[block_id] = report
             trace.record(_replayed_timing(block_id, report))
         else:
-            pending.append(block_id)
+            pending.append(descriptor)
     return pending
 
 
-def _level_descriptors(
-    blocks: list[Block], graph: Graph | None, block_ids: list[int]
-) -> tuple[CSRGraph, list[BlockDescriptor]]:
-    """One CSR snapshot of the level plus unpriced descriptors of ``block_ids``.
-
-    ``graph`` should be the level graph the blocks were cut from; when
-    omitted, the union of the block subgraphs (every induced edge of
-    every block, so the analysis is still exact) is used.
-    """
-    csr = CSRGraph(graph if graph is not None else _union_graph(blocks))
-    return csr, [
-        BlockDescriptor.from_block(block_id, blocks[block_id], csr)
-        for block_id in block_ids
-    ]
+def _in_order(
+    descriptors: list[BlockDescriptor], results: dict[int, BlockReport]
+) -> list[BlockReport]:
+    """The reports of ``descriptors``, in descriptor order."""
+    return [results[descriptor.block_id] for descriptor in descriptors]
 
 
 def _batch_cutoff(cutoff: int | None, pending: "list[BlockDescriptor]") -> int:
@@ -269,33 +263,18 @@ def _batch_cutoff(cutoff: int | None, pending: "list[BlockDescriptor]") -> int:
     return adaptive_batch_cutoff([d.size for d in pending])
 
 
-def _analyze_indexed(
-    args: tuple[int, Block, DecisionTree | None, Combo | None, int],
-) -> BlockReport:
-    """Worker wrapper that tags failures with the offending block id."""
-    index, block, tree, combo, min_clique_size = args
-    try:
-        _maybe_inject_fault(index)
-        return analyze_block(
-            block, tree=tree, combo=combo, min_clique_size=min_clique_size
-        )
-    except Exception as exc:
-        raise ExecutorError(
-            f"block {index} failed in worker {os.getpid()}: "
-            f"{type(exc).__name__}: {exc}",
-            block_id=index,
-        ) from exc
-
-
 @dataclass
 class ProcessExecutor:
     """Analyse blocks in a local process pool.
 
     ``max_workers=None`` lets the pool size default to the CPU count.
-    Submissions are chunked (``chunksize``; by default ``len(blocks)``
-    split four ways per worker) so small blocks amortise the per-task
-    IPC round-trip.  Results are returned in block order regardless of
-    completion order.
+    The pool initializer hands every worker the level CSR once; the
+    workers then analyse descriptors against it exactly as
+    :class:`SharedMemoryExecutor`'s do (:func:`_shm_analyze`).
+    Submissions are chunked (``chunksize``; by default the pending
+    descriptors split four ways per worker) so small blocks amortise the
+    per-task IPC round-trip.  Results are returned in descriptor order
+    regardless of completion order.
 
     Raises
     ------
@@ -306,41 +285,35 @@ class ProcessExecutor:
 
     max_workers: int | None = None
     chunksize: int | None = None
-    # Enumeration floor shipped with each block payload (see the
+    # Enumeration floor installed in every pool worker (see the
     # driver's min_clique_size).
     min_clique_size: int = 0
 
     def map_blocks(
         self,
-        blocks: list[Block],
+        descriptors: list[BlockDescriptor],
+        csr: CSRGraph,
         tree: DecisionTree | None = None,
         combo: Combo | None = None,
-        graph: Graph | None = None,
         run_log: RunLog | None = None,
         level: int = 0,
     ) -> list[BlockReport]:
-        """Return one :class:`BlockReport` per block, in block order."""
-        if not blocks:
-            return []
+        """Return one :class:`BlockReport` per descriptor, in order."""
         results: dict[int, BlockReport] = {}
-        pending: list[int] = []
-        for block_id in range(len(blocks)):
-            if run_log is not None and run_log.is_completed(level, block_id):
-                results[block_id] = run_log.replay_report(level, block_id)
-            else:
-                pending.append(block_id)
+        pending = _replay_completed(
+            descriptors, run_log, level, ExecutionTrace(), results
+        )
         if pending:
             workers = self.max_workers or os.cpu_count() or 1
             chunk = self.chunksize or max(1, len(pending) // (workers * 4))
-            payloads = [
-                (i, blocks[i], tree, combo, self.min_clique_size)
-                for i in pending
-            ]
-            with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
+            with ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                initializer=_shm_worker_init,
+                initargs=(csr, tree, combo, None, self.min_clique_size),
+            ) as pool:
                 try:
-                    for block_id, report in zip(
-                        pending,
-                        pool.map(_analyze_indexed, payloads, chunksize=chunk),
+                    for block_id, report in pool.map(
+                        _shm_analyze, pending, chunksize=chunk
                     ):
                         if run_log is not None:
                             run_log.record(level, block_id, report)
@@ -351,7 +324,7 @@ class ProcessExecutor:
                         "use SharedMemoryExecutor for in-parent retry",
                         segment_path=_segment_path_of(run_log),
                     ) from exc
-        return [results[i] for i in range(len(blocks))]
+        return _in_order(descriptors, results)
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +338,7 @@ _WORKER_STATE: dict[str, object] = {}
 
 
 def _shm_worker_init(
-    handle: SharedCSRHandle,
+    source: "SharedCSRHandle | CSRGraph",
     tree: DecisionTree | None,
     combo: Combo | None,
     split_budget: float | None = None,
@@ -373,14 +346,18 @@ def _shm_worker_init(
 ) -> None:
     """Pool initializer: attach to the published CSR snapshot.
 
-    ``split_budget`` (split mode only) is the per-block time budget
-    after which a worker stops its kernel sweep and re-splits the rest
-    of the block into subtasks; ``None`` disables the mid-run trigger.
+    ``source`` is the handle of a published snapshot, or (for
+    :class:`ProcessExecutor`) the level CSR itself, shipped to the
+    worker once.  ``split_budget`` (split mode only) is the per-block
+    time budget after which a worker stops its kernel sweep and
+    re-splits the rest of the block into subtasks; ``None`` disables the
+    mid-run trigger.
     ``min_clique_size`` is the enumeration floor: anchors whose
     candidate neighbourhood cannot reach it are skipped in the workers.
     """
-    shared = SharedCSR.attach(handle)
-    _WORKER_STATE["shared"] = shared
+    _WORKER_STATE["shared"] = (
+        SharedCSR.attach(source) if isinstance(source, SharedCSRHandle) else source
+    )
     _WORKER_STATE["tree"] = tree
     _WORKER_STATE["combo"] = combo
     _WORKER_STATE["scratch"] = BitmapScratch()
@@ -394,7 +371,7 @@ def _worker_floor() -> int:
 
 
 def _shm_analyze(descriptor: BlockDescriptor) -> tuple[int, BlockReport]:
-    """Analyse one block straight from the attached CSR views.
+    """Analyse one block straight from the worker's CSR views.
 
     The block's backend is materialized from a packed bitmap extracted
     directly out of the shared CSR rows (``analyze_block_csr``) — the
@@ -422,11 +399,7 @@ def _shm_analyze(descriptor: BlockDescriptor) -> tuple[int, BlockReport]:
             f"{type(exc).__name__}: {exc}",
             block_id=descriptor.block_id,
         ) from exc
-    report.extra["dispatch_bytes"] = float(descriptor.nbytes())
-    report.extra["peak_rss_kb"] = float(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    )
-    report.extra["worker_pid"] = float(os.getpid())
+    _stamp_report(report, descriptor.nbytes())
     return descriptor.block_id, report
 
 
@@ -599,9 +572,9 @@ class _SplitState:
 class SharedMemoryExecutor:
     """Zero-copy parallel block analysis over a shared CSR snapshot.
 
-    ``map_blocks`` publishes the level graph once (shared memory),
-    derives one :class:`BlockDescriptor` per block, and submits the
-    descriptors in decreasing estimated-cost order, one task each, so
+    ``map_blocks`` publishes the level CSR once (shared memory), prices
+    each pending descriptor (:meth:`BlockDescriptor.priced`), and
+    submits them in decreasing estimated-cost order, one task each, so
     idle workers always pull the largest remaining block (dynamic LPT).
     Reports stream back as they complete; per-block wall-clock, worker
     peak RSS and dispatched bytes are collected on :attr:`last_trace`.
@@ -693,49 +666,44 @@ class SharedMemoryExecutor:
 
     def map_blocks(
         self,
-        blocks: list[Block],
+        descriptors: list[BlockDescriptor],
+        csr: CSRGraph,
         tree: DecisionTree | None = None,
         combo: Combo | None = None,
-        graph: Graph | None = None,
         run_log: RunLog | None = None,
         level: int = 0,
     ) -> list[BlockReport]:
-        """Return one :class:`BlockReport` per block, in block order.
+        """Return one :class:`BlockReport` per descriptor, in order.
 
-        ``graph`` should be the level graph the blocks were cut from;
-        when omitted, the union of the block subgraphs is used (the
-        union contains every induced edge of every block, so the
-        reconstruction is still exact).
+        ``csr`` is the level snapshot the descriptors index; it is
+        published only when some block is still pending.
         """
-        if not blocks:
-            self.last_trace = ExecutionTrace()
-            return []
         trace = ExecutionTrace()
         self.last_trace = trace
         results: dict[int, BlockReport] = {}
-        pending_ids = _replay_completed(len(blocks), run_log, level, trace, results)
-        publish_start = time.perf_counter()
-        csr, pending = _level_descriptors(blocks, graph, pending_ids)
+        pending = _replay_completed(descriptors, run_log, level, trace, results)
+        if not pending:
+            return _in_order(descriptors, results)
         # LPT ordering and the split threshold read the costs.
         scratch = BitmapScratch()
         pending = [descriptor.priced(csr, scratch) for descriptor in pending]
+        publish_start = time.perf_counter()
         shared = SharedCSR.publish(csr)
         trace.publish_bytes = shared.nbytes()
         trace.publish_seconds = time.perf_counter() - publish_start
         try:
-            if pending:
-                if self.split:
-                    self._map_blocks_split(
-                        pending, shared, tree, combo, trace, results, run_log, level
-                    )
-                else:
-                    self._map_blocks_units(
-                        pending, shared, tree, combo, trace, results, run_log, level
-                    )
+            if self.split:
+                self._map_blocks_split(
+                    pending, shared, tree, combo, trace, results, run_log, level
+                )
+            else:
+                self._map_blocks_units(
+                    pending, shared, tree, combo, trace, results, run_log, level
+                )
         finally:
             shared.close()
             shared.unlink()
-        return [results[i] for i in range(len(blocks))]
+        return _in_order(descriptors, results)
 
     def _map_blocks_units(
         self,
@@ -1450,7 +1418,8 @@ class PipelineSession:
 
         A block already completed by a previous run never enters the
         dispatch buffer: its stored report is replayed immediately, so a
-        resumed run spends zero worker time on it.
+        resumed run spends zero worker time on it.  Every other block is
+        priced here, for the LPT buffer and the split threshold.
         """
         if self._run_log is not None and self._run_log.is_completed(
             level, descriptor.block_id
@@ -1459,6 +1428,7 @@ class PipelineSession:
             self._results[(level, descriptor.block_id)] = report
             self.trace.record(_replayed_timing(descriptor.block_id, report))
             return
+        descriptor = descriptor.priced(self._published[level], self._parent_scratch)
         self._costs_seen.append(descriptor.estimated_cost)
         if self._batch and self._accumulator.is_small(descriptor.size):
             # A level's buckets are flushed at end_level, but guard the
@@ -1902,17 +1872,6 @@ class PipelineSession:
         self.trace.record(_timing_of(descriptor.block_id, report))
 
 
-def _union_graph(blocks: list[Block]) -> Graph:
-    """Union of the block subgraphs (fallback when no level graph given)."""
-    union = Graph()
-    for block in blocks:
-        for node in block.graph.nodes():
-            union.add_node(node)
-        for u, v in block.graph.edges():
-            union.add_edge(u, v)
-    return union
-
-
 def _timing_of(block_id: int, report: BlockReport) -> BlockTiming:
     """Translate a finished report into its trace record."""
     return BlockTiming(
@@ -1929,7 +1888,11 @@ def _timing_of(block_id: int, report: BlockReport) -> BlockTiming:
 
 
 def pickled_block_bytes(block: Block) -> int:
-    """Bytes :class:`ProcessExecutor` ships for one block (benchmarking)."""
+    """Bytes one pickled reference :class:`~repro.core.blocks.Block` costs.
+
+    The per-block payload of pickled-subgraph dispatch, which descriptor
+    dispatch replaces (benchmarking).
+    """
     return len(pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL))
 
 
@@ -2081,19 +2044,22 @@ class SimulatedExecutor:
 
     def map_blocks(
         self,
-        blocks: list[Block],
+        descriptors: list[BlockDescriptor],
+        csr: CSRGraph,
         tree: DecisionTree | None = None,
         combo: Combo | None = None,
-        graph: Graph | None = None,
         run_log: RunLog | None = None,
         level: int = 0,
     ) -> list[BlockReport]:
-        """Return one :class:`BlockReport` per block, in block order."""
+        """Return one :class:`BlockReport` per descriptor, in order."""
         reports = SerialExecutor().map_blocks(
-            blocks, tree=tree, combo=combo, graph=graph, run_log=run_log, level=level
+            descriptors, csr, tree=tree, combo=combo, run_log=run_log, level=level
         )
-        self.last_run = simulate_level(
-            blocks, reports, self.cluster, policy=self.policy
+        self.last_run = simulate_tasks(
+            [descriptor_bytes(descriptor, csr) for descriptor in descriptors],
+            reports,
+            self.cluster,
+            policy=self.policy,
         )
         self.runs.append(self.last_run)
         return reports

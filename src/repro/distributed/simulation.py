@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.block_analysis import BlockReport
+from repro.core.block_analysis import BlockDescriptor, BlockReport
 from repro.core.blocks import Block
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.scheduler import SCHEDULERS, Schedule, Task
 from repro.errors import SchedulingError
+from repro.graph.csr import CSRGraph
 
 # Serialised size model: one 8-byte id per node plus two per edge, which
 # matches the ⟨n1, e, n2⟩ triple encoding with hashed labels.
@@ -28,6 +29,11 @@ _BYTES_PER_ID = 8
 def block_bytes(block: Block) -> int:
     """Estimated serialised size of a block shipped to a worker."""
     return _BYTES_PER_ID * (block.graph.num_nodes + 2 * block.graph.num_edges)
+
+
+def descriptor_bytes(descriptor: BlockDescriptor, csr: CSRGraph) -> int:
+    """:func:`block_bytes` of the block ``descriptor`` names in ``csr``."""
+    return _BYTES_PER_ID * (descriptor.size + 2 * descriptor.induced_edges(csr))
 
 
 @dataclass(frozen=True)
@@ -79,30 +85,8 @@ def simulate_level(
         raise SchedulingError(
             f"{len(blocks)} blocks but {len(reports)} reports"
         )
-    try:
-        scheduler = SCHEDULERS[policy]
-    except KeyError:
-        raise SchedulingError(
-            f"unknown policy {policy!r}; known: {', '.join(SCHEDULERS)}"
-        ) from None
-    tasks = [
-        Task(
-            task_id=index,
-            cost_seconds=report.seconds,
-            data_bytes=block_bytes(block),
-        )
-        for index, (block, report) in enumerate(zip(blocks, reports))
-    ]
-    schedule = scheduler(tasks, cluster)
-    serial = sum(report.seconds for report in reports)
-    communication = sum(
-        cluster.transfer_seconds(task.data_bytes) for task in tasks
-    )
-    return SimulatedRun(
-        schedule=schedule,
-        serial_seconds=serial,
-        makespan_seconds=schedule.makespan,
-        communication_seconds=communication,
+    return simulate_tasks(
+        [block_bytes(block) for block in blocks], reports, cluster, policy
     )
 
 
@@ -118,6 +102,31 @@ def simulate_reports(
     collected with ``collect_reports=True`` can be simulated without
     keeping the blocks alive.
     """
+    return simulate_tasks(
+        [
+            _BYTES_PER_ID
+            * (report.features.num_nodes + 2 * report.features.num_edges)
+            for report in reports
+        ],
+        reports,
+        cluster,
+        policy,
+    )
+
+
+def simulate_tasks(
+    data_bytes: list[int],
+    reports: list[BlockReport],
+    cluster: ClusterSpec,
+    policy: str = "lpt",
+) -> SimulatedRun:
+    """Replay measured block costs, block ``i`` shipping ``data_bytes[i]``.
+
+    Raises
+    ------
+    SchedulingError
+        On an unknown policy.
+    """
     try:
         scheduler = SCHEDULERS[policy]
     except KeyError:
@@ -125,13 +134,8 @@ def simulate_reports(
             f"unknown policy {policy!r}; known: {', '.join(SCHEDULERS)}"
         ) from None
     tasks = [
-        Task(
-            task_id=index,
-            cost_seconds=report.seconds,
-            data_bytes=_BYTES_PER_ID
-            * (report.features.num_nodes + 2 * report.features.num_edges),
-        )
-        for index, report in enumerate(reports)
+        Task(task_id=index, cost_seconds=report.seconds, data_bytes=size)
+        for index, (size, report) in enumerate(zip(data_bytes, reports))
     ]
     schedule = scheduler(tasks, cluster)
     serial = sum(report.seconds for report in reports)

@@ -14,7 +14,7 @@ import shutil
 import tempfile
 from typing import Callable, Iterable
 
-from repro.core.block_analysis import BlockReport
+from repro.core.block_analysis import BlockReport, descriptors_of
 from repro.core.blocks import Block, build_blocks
 from repro.core.driver import find_max_cliques
 from repro.core.feasibility import cut
@@ -98,7 +98,7 @@ def run_blocks(
 ) -> Canonical:
     """Analyse ``blocks`` on the named executor; canonicalized output."""
     executor = EXECUTOR_FACTORIES[executor_name]()
-    reports = executor.map_blocks(blocks, combo=combo, graph=graph)
+    reports = executor.map_blocks(*descriptors_of(blocks, graph), combo=combo)
     return canonical_report_cliques(reports)
 
 
@@ -117,9 +117,8 @@ def run_driver_levels(
 
     The clique→level provenance is invariant to the kernel partition (a
     clique belongs to the first level where all its members are still
-    present and one is feasible), so these sets must agree between the
-    dict-path barrier driver and the CSR-native pipeline even though
-    their block shapes differ.
+    present and one is feasible), so these sets must agree between
+    every driver mode.
     """
     result = driver_result(mode, graph, m, combo=combo)
     by_level: dict[int, list] = {}

@@ -245,10 +245,12 @@ class TestLazyBlockGraph:
 
 class TestSerialDefaultPath:
     def test_induced_subgraph_only_for_the_hub_recursion(self, monkeypatch):
+        # The hub recursion induces CSR levels, so a default run never
+        # calls induced_subgraph, not even between levels.
         graph = social_network(
             600, attachment=4, closure_probability=0.3, planted_cliques=(8, 6), seed=2
         )
-        calls = {"blocks": 0, "driver": 0}
+        calls = {"induced_subgraph": 0, "CSRGraph": 0}
 
         def counting(key, original):
             def wrapper(*args, **kwargs):
@@ -257,19 +259,20 @@ class TestSerialDefaultPath:
 
             return wrapper
 
+        for module in (blocks_module, driver_module):
+            monkeypatch.setattr(
+                module,
+                "induced_subgraph",
+                counting("induced_subgraph", module.induced_subgraph),
+            )
         monkeypatch.setattr(
-            blocks_module,
-            "induced_subgraph",
-            counting("blocks", blocks_module.induced_subgraph),
-        )
-        monkeypatch.setattr(
-            driver_module,
-            "induced_subgraph",
-            counting("driver", driver_module.induced_subgraph),
+            CSRGraph, "__init__", counting("CSRGraph", CSRGraph.__init__)
         )
         result = find_max_cliques(graph, 20)
         assert result.recursion_depth > 1
-        assert calls == {"blocks": 0, "driver": result.recursion_depth - 1}
+        # induced_csr builds levels with CSRGraph.from_arrays; only the
+        # input graph is converted.
+        assert calls == {"induced_subgraph": 0, "CSRGraph": 1}
 
     @pytest.mark.parametrize("name", sorted(DATASET_NAMES))
     def test_packed_store_is_byte_identical_across_executors(self, name):

@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from conftest import FIGURE1_CLIQUES, nx_cliques
-from repro.core.driver import decompose_only, find_max_cliques
+from repro.core.driver import decompose_only, decompose_only_csr, find_max_cliques
 from repro.errors import ConvergenceError
 from repro.graph.adjacency import Graph
 from repro.graph.cores import degeneracy
@@ -200,11 +200,18 @@ class TestResultAccessors:
 class TestDecomposeOnly:
     def test_stats_match_driver(self):
         g = social_network(120, attachment=3, seed=11)
-        stats, iterations = decompose_only(g, 20)
+        stats, iterations = decompose_only_csr(g, 20)
         full = find_max_cliques(g, 20)
         assert iterations == full.recursion_depth
         assert [s.num_blocks for s in stats] == [
             level.num_blocks for level in full.levels
+        ]
+        # The dict reference grows a different partition, but the
+        # partition-invariant counts agree.
+        reference, reference_iterations = decompose_only(g, 20)
+        assert reference_iterations == iterations
+        assert [(s.num_feasible, s.num_hubs) for s in reference] == [
+            (s.num_feasible, s.num_hubs) for s in stats
         ]
 
     def test_nonconvergent_stops_quietly_by_default(self):

@@ -134,6 +134,12 @@ class TestWorkloadBlocks:
         assert len(blocks) == sum(len(r) for r in result.block_reports)
         levels = {level for level, _, _ in blocks}
         assert levels == set(range(len(result.block_reports)))
+        # Each (level, block_id) names the block the driver reported
+        # under that key, which is what label_rows groups on.
+        for level, block_id, block in blocks:
+            report = result.block_reports[level][block_id]
+            assert report.kernel_nodes == len(block.descriptor.kernel_ids)
+            assert report.features.num_nodes == block.descriptor.size
 
 
 class TestSampleBlocks:
@@ -142,9 +148,10 @@ class TestSampleBlocks:
         sample = sample_blocks(blocks, 4, seed=1)
         assert sample == sample_blocks(blocks, 4, seed=1)
         assert len(sample) == 4
-        costliest = max(
-            blocks, key=lambda b: BlockFeatures.of(b[2].graph).estimated_cost()
-        )
+        costliest = max(blocks, key=lambda b: b[2].descriptor.estimated_cost)
+        # The sampler ranks by the block's features-based cost estimate.
+        features = costliest[2].analyze().features
+        assert costliest[2].descriptor.estimated_cost == features.estimated_cost()
         assert costliest in sample
 
     def test_oversized_sample_returns_everything(self, graph):

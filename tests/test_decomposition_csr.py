@@ -11,6 +11,8 @@ tests pin partition-invariant quantities and not block memberships.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from repro.errors import DecompositionError
 from repro.graph.adjacency import Graph
 from repro.graph.cores import degeneracy
 from repro.graph.csr import CSRGraph, induced_csr
+from repro.graph.datasets import DATASET_NAMES, load_dataset
 from repro.graph.generators import barabasi_albert, social_network
 from repro.graph.views import induced_subgraph
 
@@ -188,6 +191,52 @@ class TestDictVsCSRPinned:
             assert ours.num_feasible == theirs.num_feasible
             assert ours.num_hubs == theirs.num_hubs
             assert ours.fallback_used == theirs.fallback_used
+
+
+# sha256 over every level's descriptor id arrays (see partition_digest)
+# for each stand-in at m = d/2, generated by an independent numpy
+# implementation of the same growth rule (adjacency counters plus a
+# heap per count), so the pins check the rule, not one implementation.
+PINNED_PARTITIONS = {
+    "facebook": "19ed358cb2a2da1ca511a352948ce794c9c66e566e48aa6fbd413be684edf886",
+    "google+": "5dc689374bdc46156efa402c5ca58fc8ba7f895fe4db7b887c493fdf963ba556",
+    "twitter1": "d96f91b576ca1b02ce5d33be4d94133d8fc88f9d720e263b361c91c90dc0652d",
+    "twitter2": "6b446d2ccadd228e3c625cf74e117ff07bbde4b7cdc9ace61d5acf97f9b7f1c3",
+    "twitter3": "7599a98ba3a21048be83e69b49638436b7392726d2b8a562152c17d7e1bd96f2",
+}
+
+
+def partition_digest(graph: Graph, m: int) -> str:
+    """Digest of the exact ``blocks_csr`` partition of every level."""
+    digest = hashlib.sha256()
+    csr = CSRGraph(graph)
+    level = 0
+    while csr.num_nodes:
+        feasible, hubs = cut_csr(csr, m)
+        if not len(feasible):
+            break
+        for descriptor in blocks_csr(csr, feasible, m):
+            digest.update(f"{level}:{descriptor.block_id}|".encode())
+            for ids in (
+                descriptor.kernel_ids,
+                descriptor.border_ids,
+                descriptor.visited_ids,
+            ):
+                digest.update(np.asarray(ids, dtype=np.int64).tobytes())
+                digest.update(b"|")
+        if not len(hubs):
+            break
+        csr = induced_csr(csr, hubs)
+        level += 1
+    return digest.hexdigest()
+
+
+class TestPinnedPartition:
+    @pytest.mark.parametrize("name", sorted(DATASET_NAMES))
+    def test_stand_in_partition_is_pinned(self, name):
+        graph = load_dataset(name)
+        m = max(2, graph.max_degree() // 2)
+        assert partition_digest(graph, m) == PINNED_PARTITIONS[name]
 
 
 class TestInducedCSR:

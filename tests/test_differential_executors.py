@@ -20,12 +20,19 @@ from differential import (
     blocks_of,
     canonical_cliques,
     canonical_report_cliques,
+    driver_result,
     run_blocks,
     run_driver,
     run_driver_levels,
 )
-from repro.core.block_analysis import analyze_blocks
+from repro.core import blocks as blocks_module
+from repro.core import driver as driver_module
+from repro.core import feasibility as feasibility_module
+from repro.core.block_analysis import analyze_blocks, descriptors_of
 from repro.distributed.executor import SharedMemoryExecutor
+from repro.graph import views as views_module
+from repro.graph.csr import CSRGraph
+from repro.graph.datasets import DATASET_NAMES, load_dataset
 from repro.graph.generators import (
     barabasi_albert,
     erdos_renyi,
@@ -125,13 +132,12 @@ class TestStragglerSplitting:
 
     def test_split_blocks_match_serial(self, straggler):
         blocks = blocks_of(straggler, self.M)
+        level = descriptors_of(blocks, straggler)
         serial = canonical_report_cliques(
-            EXECUTOR_FACTORIES["serial"]().map_blocks(blocks, graph=straggler)
+            EXECUTOR_FACTORIES["serial"]().map_blocks(*level)
         )
         executor = SharedMemoryExecutor(max_workers=2, split=True)
-        split = canonical_report_cliques(
-            executor.map_blocks(blocks, graph=straggler)
-        )
+        split = canonical_report_cliques(executor.map_blocks(*level))
         assert split == serial
         trace = executor.last_trace
         assert trace.splits, "the dense block should cross the adaptive threshold"
@@ -174,14 +180,70 @@ class TestPropertyDifferential:
     def test_shared_matches_serial_and_oracle(self, family, size, seed):
         graph = _random_graph(family, size, seed)
         m = max(4, graph.max_degree() // 2 + 1)
-        blocks = blocks_of(graph, m)
+        level = descriptors_of(blocks_of(graph, m), graph)
         serial = canonical_report_cliques(
-            EXECUTOR_FACTORIES["serial"]().map_blocks(blocks, graph=graph)
+            EXECUTOR_FACTORIES["serial"]().map_blocks(*level)
         )
         shared = canonical_report_cliques(
-            EXECUTOR_FACTORIES["shared"]().map_blocks(blocks, graph=graph)
+            EXECUTOR_FACTORIES["shared"]().map_blocks(*level)
         )
         assert shared == serial
         oracle = canonical_cliques(nx_cliques(graph))
         driver = run_driver("shared", graph, m)
         assert driver == oracle
+
+
+def _forbid(monkeypatch, owner, attr: str) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{attr} called on a production path")
+
+    monkeypatch.setattr(owner, attr, forbidden)
+
+
+class TestOneDecomposition:
+    """Every driver mode runs the same CSR walk and emits the same bytes.
+
+    With the dict-``Graph`` reference (``cut``, ``build_blocks``,
+    ``induced_subgraph``, ``Block.graph``, ``CSRGraph.to_graph``)
+    patched to raise, in the parent and in forked pool workers alike,
+    every mode still completes, and its packed store equals a pipeline
+    run's byte for byte.  Bucketed dispatch emits each block's cliques
+    in its own order, so the batch modes are held to the batched
+    pipeline and the others to the plain one.
+    """
+
+    @pytest.mark.parametrize("name", sorted(DATASET_NAMES))
+    def test_every_mode_matches_the_pipeline_store(self, name, monkeypatch):
+        graph = load_dataset(name)
+        m = max(2, graph.max_degree() // 2)
+        for owner, attr in (
+            (driver_module, "cut"),
+            (driver_module, "build_blocks"),
+            (driver_module, "induced_subgraph"),
+            (feasibility_module, "cut"),
+            (blocks_module, "build_blocks"),
+            (blocks_module, "induced_subgraph"),
+            (views_module, "induced_subgraph"),
+            (CSRGraph, "to_graph"),
+        ):
+            _forbid(monkeypatch, owner, attr)
+
+        def no_block_graph(block):
+            raise AssertionError("Block.graph read on a production path")
+
+        monkeypatch.setattr(blocks_module.Block, "graph", property(no_block_graph))
+        references = {
+            batched: driver_result(
+                "shared-pipeline-batch" if batched else "shared-pipeline", graph, m
+            ).store
+            for batched in (False, True)
+        }
+        for mode in DRIVER_MODES:
+            store = driver_result(mode, graph, m).store
+            reference = references["batch" in mode]
+            for field in ("offsets", "vertices", "levels"):
+                expected = getattr(reference, field)
+                actual = getattr(store, field)
+                assert actual.dtype == expected.dtype, (mode, field)
+                assert actual.tobytes() == expected.tobytes(), (mode, field)
+            assert list(store.labels) == list(reference.labels), mode

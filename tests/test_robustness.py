@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import nx_cliques
-from repro.core.block_analysis import analyze_blocks
+from repro.core.block_analysis import analyze_blocks, descriptors_of
 from repro.core.blocks import build_blocks
 from repro.core.driver import find_max_cliques
 from repro.core.feasibility import cut
@@ -128,7 +128,7 @@ class TestSharedMemoryCrashSafety:
         reference, _ = analyze_blocks(blocks)
         monkeypatch.setenv(FAULT_INJECT_ENV, "kill:3")
         executor = SharedMemoryExecutor(max_workers=2)
-        reports = executor.map_blocks(blocks, graph=graph)
+        reports = executor.map_blocks(*descriptors_of(blocks, graph))
         assert [c for r in reports for c in r.cliques] == reference
         assert executor.last_trace is not None
         assert 3 in executor.last_trace.retried_blocks
@@ -141,7 +141,7 @@ class TestSharedMemoryCrashSafety:
         monkeypatch.setenv(FAULT_INJECT_ENV, "kill:0")
         executor = SharedMemoryExecutor(max_workers=2, retry_failed=False)
         with pytest.raises(ExecutorError, match="worker process died"):
-            executor.map_blocks(blocks, graph=graph)
+            executor.map_blocks(*descriptors_of(blocks, graph))
         assert _leaked_segments() == []
 
     def test_worker_exception_names_the_block(self, crash_blocks, monkeypatch):
@@ -149,7 +149,7 @@ class TestSharedMemoryCrashSafety:
         monkeypatch.setenv(FAULT_INJECT_ENV, "raise:2")
         executor = SharedMemoryExecutor(max_workers=2)
         with pytest.raises(ExecutorError, match="block 2") as excinfo:
-            executor.map_blocks(blocks, graph=graph)
+            executor.map_blocks(*descriptors_of(blocks, graph))
         assert excinfo.value.block_id == 2
         assert _leaked_segments() == []
 
@@ -198,7 +198,7 @@ class TestSubtaskCrashSafety:
         # Subtask ids are start anchor positions — deterministic for a
         # given graph — so a clean run discovers what to kill.
         clean = self._executor()
-        clean.map_blocks(blocks, graph=graph)
+        clean.map_blocks(*descriptors_of(blocks, graph))
         ids = sorted(
             t.subtask_id for t in clean.last_trace.subtasks if t.subtask_id >= 0
         )
@@ -206,7 +206,7 @@ class TestSubtaskCrashSafety:
         target = ids[-2]
         monkeypatch.setenv(FAULT_INJECT_ENV, f"kill:0.{target}")
         executor = self._executor()
-        reports = executor.map_blocks(blocks, graph=graph)
+        reports = executor.map_blocks(*descriptors_of(blocks, graph))
         assert [c for r in reports for c in r.cliques] == reference
         trace = executor.last_trace
         retried = set(trace.retried_subtasks)
@@ -224,23 +224,27 @@ class TestSubtaskCrashSafety:
         monkeypatch.setenv(FAULT_INJECT_ENV, "kill:0.0")
         executor = self._executor(retry_failed=False)
         with pytest.raises(ExecutorError, match="worker process died"):
-            executor.map_blocks(blocks, graph=graph)
+            executor.map_blocks(*descriptors_of(blocks, graph))
         assert _leaked_segments() == []
 
 
 class TestProcessExecutorFailures:
     def test_worker_exception_names_the_block(self, crash_blocks, monkeypatch):
-        _, blocks = crash_blocks
+        graph, blocks = crash_blocks
         monkeypatch.setenv(FAULT_INJECT_ENV, "raise:4")
         with pytest.raises(ExecutorError, match="block 4") as excinfo:
-            ProcessExecutor(max_workers=2).map_blocks(blocks)
+            ProcessExecutor(max_workers=2).map_blocks(
+                *descriptors_of(blocks, graph)
+            )
         assert excinfo.value.block_id == 4
 
     def test_killed_worker_raises_executor_error(self, crash_blocks, monkeypatch):
-        _, blocks = crash_blocks
+        graph, blocks = crash_blocks
         monkeypatch.setenv(FAULT_INJECT_ENV, "kill:1")
         with pytest.raises(ExecutorError, match="worker process died"):
-            ProcessExecutor(max_workers=2).map_blocks(blocks)
+            ProcessExecutor(max_workers=2).map_blocks(
+                *descriptors_of(blocks, graph)
+            )
 
 
 class TestDoctests:

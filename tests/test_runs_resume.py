@@ -10,19 +10,22 @@ attaches to executor failures.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from faults import CRASH_M, build_executor, crash_graph, golden_cliques
 from differential import canonical_cliques
 from repro.core.driver import find_max_cliques
-from repro.distributed.executor import SharedMemoryExecutor
+from repro.distributed.executor import SerialExecutor, SharedMemoryExecutor
 from repro.errors import (
     CorruptSegmentError,
     ExecutorError,
     ResumeMismatchError,
 )
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import erdos_renyi
-from repro.runs.manifest import load_manifest
+from repro.runs.manifest import MANIFEST_NAME, load_manifest
 from repro.runs.segments import FAULT_INJECT_ENV, SEGMENT_MAGIC, _HEADER
 
 
@@ -96,6 +99,60 @@ class TestResumeValidation:
                 executor=SharedMemoryExecutor(max_workers=2),
                 pipeline=True,
             )
+
+
+class TestBarrierBlockIds:
+    """Barrier block ids name the ``blocks_csr`` partition."""
+
+    @pytest.mark.parametrize("floor", [0, 3])
+    def test_dict_partition_directory_refused(self, graph, tmp_path, floor):
+        # Barrier runs once recorded the ids of the dict partition under
+        # mode "barrier"; replaying them against the CSR partition would
+        # mix blocks of two partitions and can lose cliques.
+        find_max_cliques(graph, CRASH_M, spill_dir=tmp_path, min_clique_size=floor)
+        suffix = f"+floor{floor}" if floor else ""
+        path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        assert manifest["fingerprint"]["mode"] == "barrier/csr" + suffix
+        manifest["fingerprint"]["mode"] = "barrier" + suffix
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ResumeMismatchError, match="mode"):
+            find_max_cliques(
+                graph,
+                CRASH_M,
+                spill_dir=tmp_path,
+                resume=True,
+                min_clique_size=floor,
+            )
+
+    def test_floored_barrier_keeps_descriptor_ids(self, tmp_path):
+        # With a floor, the kept blocks' timings, spill records and
+        # manifest entries use the ids their BlockBound records carry.
+        class PerLevelTraces(SerialExecutor):
+            def map_blocks(self, *args, level=0, **kwargs):
+                reports = super().map_blocks(*args, level=level, **kwargs)
+                traces[level] = self.last_trace
+                return reports
+
+        traces = {}
+        graph = load_dataset("twitter1")
+        m = graph.max_degree() // 2
+        executor = PerLevelTraces()
+        result = find_max_cliques(
+            graph, m, executor=executor, min_clique_size=8, spill_dir=tmp_path
+        )
+        bounds = executor.last_trace.bounds
+        assert any(bound.skipped for bound in bounds)
+        completed = load_manifest(tmp_path).completed
+        for level, trace in traces.items():
+            kept = sorted(
+                b.block_id for b in bounds if b.level == level and not b.skipped
+            )
+            assert sorted(t.block_id for t in trace.timings) == kept
+            assert sorted(completed.get(level, ())) == kept
+        assert result.run_info["blocks_recorded"] == sum(
+            1 for bound in bounds if not bound.skipped
+        )
 
 
 class TestPartialResume:
